@@ -5,7 +5,7 @@
 //! remark).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use igp_lp::{flow, solve, LpModel};
+use igp_lp::{flow, movement_lp, solve, LpModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -44,22 +44,9 @@ fn synth_balance_lp(
             surplus[b] -= 1;
         }
     }
-    let mut m = LpModel::minimize(arcs.len());
-    for (k, &(_, _, cap)) in arcs.iter().enumerate() {
-        m.set_objective(k, 1.0);
-        m.set_upper_bound(k, cap as f64);
-    }
-    for q in 0..p {
-        let mut row = Vec::new();
-        for (k, (i, j)) in arcs.iter().map(|&(i, j, _)| (i, j)).enumerate() {
-            if i == q {
-                row.push((k, 1.0));
-            } else if j == q {
-                row.push((k, -1.0));
-            }
-        }
-        m.add_eq(row, surplus[q] as f64);
-    }
+    let pairs: Vec<(usize, usize)> = arcs.iter().map(|&(i, j, _)| (i, j)).collect();
+    let caps: Vec<u64> = arcs.iter().map(|&(_, _, c)| c as u64).collect();
+    let m = movement_lp(p, &pairs, Some(&caps), &surplus);
     (m, arcs, surplus)
 }
 
@@ -73,11 +60,13 @@ fn bench_simplex(c: &mut Criterion) {
         (64, 160, "P64"),
     ] {
         let (model, arcs, surplus) = synth_balance_lp(p, extra, 7);
+        // Dense: the kernel on the caps-as-rows restatement, which is
+        // part of what `BalanceSolver::DenseSimplex` pays per solve.
         g.bench_function(format!("dense_simplex_{label}"), |b| {
-            b.iter(|| black_box(solve(black_box(&model)).unwrap().objective))
+            b.iter(|| black_box(solve(&black_box(&model).caps_as_rows()).unwrap().objective))
         });
         g.bench_function(format!("bounded_simplex_{label}"), |b| {
-            b.iter(|| black_box(igp_lp::solve_bounded(black_box(&model)).unwrap().objective))
+            b.iter(|| black_box(solve(black_box(&model)).unwrap().objective))
         });
         g.bench_function(format!("network_flow_{label}"), |b| {
             b.iter(|| {

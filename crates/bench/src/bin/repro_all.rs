@@ -9,42 +9,29 @@
 
 use igp_bench::experiments::{run_sequence_experiment, run_speedup_experiment, Fidelity};
 use igp_bench::tables::{full_table, speedup_table};
-use igp_lp::{solve, LpModel};
+use igp_lp::{circulation_lp, movement_lp, solve};
 use igp_mesh::sequence::{paper_sequence_a, paper_sequence_b};
 use igp_spectral::{recursive_spectral_bisection, RsbOptions};
 
+/// The 4-partition adjacency of the paper's worked examples: variables
+/// l01 l02 l03 l10 l12 l20 l21 l23 l30 l32.
+const FIG_ARCS: [(usize, usize); 10] = [
+    (0, 1),
+    (0, 2),
+    (0, 3),
+    (1, 0),
+    (1, 2),
+    (2, 0),
+    (2, 1),
+    (2, 3),
+    (3, 0),
+    (3, 2),
+];
+
 fn check_figure5() {
-    let caps = [9.0, 7.0, 12.0, 10.0, 11.0, 3.0, 7.0, 9.0, 7.0, 5.0];
-    let mut m = LpModel::minimize(10);
-    for i in 0..10 {
-        m.set_objective(i, 1.0);
-        m.set_upper_bound(i, caps[i]);
-    }
-    m.add_eq(
-        vec![
-            (0, 1.0),
-            (1, 1.0),
-            (2, 1.0),
-            (3, -1.0),
-            (5, -1.0),
-            (8, -1.0),
-        ],
-        8.0,
-    );
-    m.add_eq(vec![(3, 1.0), (4, 1.0), (0, -1.0), (6, -1.0)], 1.0);
-    m.add_eq(
-        vec![
-            (5, 1.0),
-            (6, 1.0),
-            (7, 1.0),
-            (1, -1.0),
-            (4, -1.0),
-            (9, -1.0),
-        ],
-        -1.0,
-    );
-    m.add_eq(vec![(8, 1.0), (9, 1.0), (2, -1.0), (7, -1.0)], -8.0);
-    let s = solve(&m).unwrap();
+    let caps = [9, 7, 12, 10, 11, 3, 7, 9, 7, 5];
+    let m = movement_lp(4, &FIG_ARCS, Some(&caps), &[8, 1, -1, -8]);
+    let s = solve(&m.caps_as_rows()).unwrap();
     println!(
         "E4 (paper Figure 5 LP): objective = {} (paper: l03=8, l12=1, total 9) -> {}",
         s.objective,
@@ -57,37 +44,8 @@ fn check_figure5() {
 }
 
 fn check_figure8() {
-    let caps = [1.0, 1.0, 1.0, 2.0, 1.0, 0.0, 1.0, 1.0, 2.0, 1.0];
-    let mut m = LpModel::maximize(10);
-    for i in 0..10 {
-        m.set_objective(i, 1.0);
-        m.set_upper_bound(i, caps[i]);
-    }
-    m.add_eq(
-        vec![
-            (0, 1.0),
-            (1, 1.0),
-            (2, 1.0),
-            (3, -1.0),
-            (5, -1.0),
-            (8, -1.0),
-        ],
-        0.0,
-    );
-    m.add_eq(vec![(3, 1.0), (4, 1.0), (0, -1.0), (6, -1.0)], 0.0);
-    m.add_eq(
-        vec![
-            (5, 1.0),
-            (6, 1.0),
-            (7, 1.0),
-            (1, -1.0),
-            (4, -1.0),
-            (9, -1.0),
-        ],
-        0.0,
-    );
-    m.add_eq(vec![(8, 1.0), (9, 1.0), (2, -1.0), (7, -1.0)], 0.0);
-    let s = solve(&m).unwrap();
+    let m = circulation_lp(4, &FIG_ARCS, &[1, 1, 1, 2, 1, 0, 1, 1, 2, 1]);
+    let s = solve(&m.caps_as_rows()).unwrap();
     println!(
         "E5 (paper Figure 8 LP): objective = {} (LP optimum 9; the paper prints a \
          solution totalling 8 with a per-node conservation typo) -> {}",

@@ -16,7 +16,8 @@
 use crate::config::{BalanceSolver, CapPolicy, IgpConfig};
 use crate::layer::{layer_partitions, Layering};
 use igp_graph::{CsrGraph, PartId, Partitioning};
-use igp_lp::{flow, LpError, LpModel, Simplex};
+use igp_lp::{flow, LpError, LpModel};
+use igp_runtime::{Executor, Solo};
 
 /// LP size/work accounting (experiment E7).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -116,6 +117,8 @@ pub fn scale_surplus(surplus: &[i64], delta: u32) -> Vec<i64> {
 /// Solve one movement LP: variables are the directed pairs in `pairs`
 /// (with optional caps), constraints are `out(j) − in(j) = surplus[j]`.
 /// Returns the integral movement counts aligned with `pairs`.
+///
+/// The sequential entry point: [`solve_movement_on`] at size 1.
 pub fn solve_movement(
     num_parts: usize,
     pairs: &[(PartId, PartId)],
@@ -123,75 +126,85 @@ pub fn solve_movement(
     surplus: &[i64],
     cfg: &IgpConfig,
 ) -> Result<(Vec<i64>, LpAccounting), LpError> {
+    solve_movement_on(&mut Solo, num_parts, pairs, caps, surplus, cfg)
+}
+
+/// [`solve_movement`] as a collective over the ranks of `ctx`: the
+/// simplex engines split the tableau by columns, the network engine runs
+/// replicated. Every rank receives the same result.
+pub fn solve_movement_on<E: Executor>(
+    ctx: &mut E,
+    num_parts: usize,
+    pairs: &[(PartId, PartId)],
+    caps: Option<&[u64]>,
+    surplus: &[i64],
+    cfg: &IgpConfig,
+) -> Result<(Vec<i64>, LpAccounting), LpError> {
     debug_assert_eq!(surplus.iter().sum::<i64>(), 0);
-    match cfg.solver {
-        BalanceSolver::NetworkFlow => {
-            let big = surplus.iter().map(|s| s.unsigned_abs()).sum::<u64>().max(1) as i64;
-            let arcs: Vec<(usize, usize, i64)> = pairs
-                .iter()
-                .enumerate()
-                .map(|(k, &(i, j))| {
-                    let cap = caps.map(|c| c[k] as i64).unwrap_or(big);
-                    (i as usize, j as usize, cap)
-                })
-                .collect();
-            match flow::min_movement_transshipment(num_parts, &arcs, surplus) {
-                Some((_, l)) => {
-                    let acc = LpAccounting {
-                        vars: pairs.len(),
-                        constraints: num_parts + caps.map_or(0, |c| c.len()),
-                        pivots: 0,
-                        work: (pairs.len() * num_parts) as u64,
-                    };
-                    Ok((l, acc))
-                }
-                None => Err(LpError::Infeasible),
-            }
-        }
-        BalanceSolver::DenseSimplex | BalanceSolver::BoundedSimplex => {
-            let mut m = LpModel::minimize(pairs.len());
-            for k in 0..pairs.len() {
-                m.set_objective(k, 1.0);
-                if let Some(c) = caps {
-                    m.set_upper_bound(k, c[k] as f64);
-                }
-            }
-            for q in 0..num_parts {
-                let mut row: Vec<(usize, f64)> = Vec::new();
-                for (k, &(i, j)) in pairs.iter().enumerate() {
-                    if i as usize == q {
-                        row.push((k, 1.0)); // outgoing
-                    } else if j as usize == q {
-                        row.push((k, -1.0)); // incoming
-                    }
-                }
-                m.add_eq(row, surplus[q] as f64);
-            }
-            let sol = match cfg.solver {
-                BalanceSolver::DenseSimplex => Simplex::new(cfg.simplex).solve(&m)?,
-                _ => igp_lp::solve_bounded_with(&m, cfg.simplex)?,
-            };
-            let l: Vec<i64> = sol
-                .x
-                .iter()
-                .map(|&v| {
-                    let r = v.round();
-                    debug_assert!(
-                        (v - r).abs() < 1e-5,
-                        "balance LP returned non-integral value {v}"
-                    );
-                    r as i64
-                })
-                .collect();
+    if cfg.solver != BalanceSolver::NetworkFlow {
+        let model = igp_lp::movement_lp(num_parts, &arcs_of(pairs), caps, surplus);
+        return solve_paper_lp(ctx, &model, cfg.solver);
+    }
+    let big = surplus.iter().map(|s| s.unsigned_abs()).sum::<u64>().max(1) as i64;
+    let arcs: Vec<(usize, usize, i64)> = pairs
+        .iter()
+        .enumerate()
+        .map(|(k, &(i, j))| {
+            let cap = caps.map(|c| c[k] as i64).unwrap_or(big);
+            (i as usize, j as usize, cap)
+        })
+        .collect();
+    match flow::min_movement_transshipment(num_parts, &arcs, surplus) {
+        Some((_, l)) => {
             let acc = LpAccounting {
                 vars: pairs.len(),
-                constraints: m.num_rows_expanded(),
-                pivots: sol.stats.total_iters(),
-                work: (sol.stats.total_iters() * sol.stats.rows * sol.stats.cols) as u64,
+                constraints: num_parts + caps.map_or(0, |c| c.len()),
+                pivots: 0,
+                work: (pairs.len() * num_parts) as u64,
             };
             Ok((l, acc))
         }
+        None => Err(LpError::Infeasible),
     }
+}
+
+/// Partition pairs as the `usize` arcs `igp-lp`'s builders take.
+pub(crate) fn arcs_of(pairs: &[(PartId, PartId)]) -> Vec<(usize, usize)> {
+    pairs
+        .iter()
+        .map(|&(i, j)| (i as usize, j as usize))
+        .collect()
+}
+
+/// Solve one of the paper's two LPs with the simplex kernel —
+/// [`BalanceSolver::DenseSimplex`] on the model with its caps restated
+/// as rows, [`BalanceSolver::BoundedSimplex`] on the model as given —
+/// and round the (integral, both LPs being network problems) optimum.
+pub(crate) fn solve_paper_lp<E: Executor>(
+    ctx: &mut E,
+    model: &LpModel,
+    solver: BalanceSolver,
+) -> Result<(Vec<i64>, LpAccounting), LpError> {
+    let sol = match solver {
+        BalanceSolver::DenseSimplex => igp_lp::solve_on(ctx, &model.caps_as_rows())?,
+        _ => igp_lp::solve_on(ctx, model)?,
+    };
+    let l: Vec<i64> = sol
+        .x
+        .iter()
+        .map(|&v| {
+            let r = v.round();
+            debug_assert!((v - r).abs() < 1e-5, "LP returned non-integral value {v}");
+            r as i64
+        })
+        .collect();
+    let acc = LpAccounting {
+        vars: model.num_vars(),
+        constraints: model.num_rows_expanded(),
+        pivots: sol.stats.total_iters(),
+        work: (sol.stats.total_iters() * sol.stats.rows * sol.stats.cols) as u64,
+    };
+    Ok((l, acc))
 }
 
 /// Gain of moving `v` to partition `j` under the *current* assignment:

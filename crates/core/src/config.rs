@@ -1,6 +1,5 @@
 //! Configuration for the incremental partitioner.
 
-use igp_lp::SimplexOptions;
 use igp_runtime::Backend;
 
 /// How the load-balancing LP treats the `l_ij ≤ λ_ij` movement caps
@@ -21,10 +20,13 @@ pub enum CapPolicy {
 /// (ablations E8/E9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BalanceSolver {
-    /// Dense two-phase simplex with cap rows expanded (the paper's solver).
+    /// The simplex kernel on the LP with its caps restated as rows
+    /// ([`igp_lp::LpModel::caps_as_rows`]) — the paper's solver, tableau
+    /// sizes and pivot counts.
     DenseSimplex,
-    /// Bounded-variable simplex: caps handled natively, ~7× smaller
-    /// tableau at P = 32 (the paper's "can be substantially reduced").
+    /// The same kernel on the LP as given, caps handled as native
+    /// variable bounds: ~7× smaller tableau at P = 32 (the paper's "can
+    /// be substantially reduced").
     BoundedSimplex,
     /// Min-cost-flow / max-circulation network solvers.
     NetworkFlow,
@@ -84,8 +86,6 @@ pub struct IgpConfig {
     pub max_delta: u32,
     /// Refinement parameters (used by IGPR).
     pub refine: RefineConfig,
-    /// Simplex tuning.
-    pub simplex: SimplexOptions,
     /// LP engine selection.
     pub solver: BalanceSolver,
     /// Execution substrate for the parallel driver
@@ -104,7 +104,6 @@ impl IgpConfig {
             max_stages: 8,
             max_delta: 16,
             refine: RefineConfig::default(),
-            simplex: SimplexOptions::default(),
             solver: BalanceSolver::DenseSimplex,
             backend: Backend::SimCm5,
         }

@@ -18,9 +18,9 @@
 //! * [`IncrementalPartitioner`] — sequential IGP / IGPR.
 //! * [`parallel::ParallelPartitioner`] — the same algorithm as an SPMD
 //!   program written against `igp-runtime`'s [`Executor`](igp_runtime::Executor)
-//!   abstraction, including a **distributed dense simplex** (columns
-//!   partitioned across ranks), reproducing the paper's "all the steps
-//!   used by our method are inherently parallel" claim. The substrate is
+//!   abstraction, its LPs solved collectively by `igp-lp`'s column-owned
+//!   simplex kernel, reproducing the paper's "all the steps used by our
+//!   method are inherently parallel" claim. The substrate is
 //!   selected by [`IgpConfig::backend`]: [`Backend::SimCm5`] for
 //!   simulated CM-5 timings (figure reproduction) or
 //!   [`Backend::SharedMem`] for real wall-clock execution.
@@ -39,7 +39,6 @@ pub mod multilevel;
 pub mod obs;
 pub mod parallel;
 pub mod partitioner;
-pub mod psimplex;
 pub mod refine;
 pub mod report;
 pub mod session;

@@ -10,9 +10,10 @@
 //!   expands the frontier of its owned partitions and claims are merged
 //!   deterministically each superstep;
 //! * **phase 2** layers owned partitions locally and allgathers labels;
-//! * **phases 3–4** solve their LPs with the distributed dense simplex
-//!   ([`crate::psimplex`]), columns strided across ranks — the paper's
-//!   main parallelization claim;
+//! * **phases 3–4** solve their LPs collectively with the configured
+//!   engine ([`solve_movement_on`], [`solve_circulation_on`]): `igp-lp`'s
+//!   simplex kernel with columns strided across ranks — the paper's main
+//!   parallelization claim;
 //! * every compute step charges work units and every exchange pays
 //!   `α + β·words`, so a [`Backend::SimCm5`] run yields simulated CM-5
 //!   phase timings.
@@ -34,12 +35,12 @@
 //!   backends produce **bit-identical** partitions and pivot counts
 //!   (pinned by `tests/backend_equiv.rs`; DESIGN.md §6).
 
-use crate::balance::{adjacency_pairs, integer_targets, scale_surplus};
+use crate::balance::{adjacency_pairs, integer_targets, scale_surplus, solve_movement_on};
 use crate::config::{CapPolicy, IgpConfig};
 use crate::layer::layer_one;
-use crate::psimplex::parallel_simplex;
+use crate::refine::solve_circulation_on;
 use igp_graph::{CsrGraph, IncrementalGraph, NodeId, PartId, Partitioning, INVALID_NODE, NO_PART};
-use igp_lp::{LpError, LpModel};
+use igp_lp::LpError;
 use igp_runtime::{Backend, CostModel, Executor, SimReport, SpmdJob};
 
 /// Simulated seconds spent in each phase (makespan over ranks).
@@ -378,37 +379,19 @@ fn run_rank<E: Executor>(
             if s.iter().all(|&v| v == 0) {
                 break;
             }
-            let mut model = LpModel::minimize(pairs.len());
-            for k in 0..pairs.len() {
-                model.set_objective(k, 1.0);
-                if let Some(c) = &caps {
-                    model.set_upper_bound(k, c[k] as f64);
-                }
-            }
-            for q in 0..p {
-                let mut row: Vec<(usize, f64)> = Vec::new();
-                for (k, &(i, j)) in pairs.iter().enumerate() {
-                    if i as usize == q {
-                        row.push((k, 1.0));
-                    } else if j as usize == q {
-                        row.push((k, -1.0));
-                    }
-                }
-                model.add_eq(row, s[q] as f64);
-            }
             ctx.charge(pairs.len() as u64);
-            match parallel_simplex(ctx, &model, cfg.simplex) {
-                Ok(sol) => {
-                    lp_pivots += sol.stats.total_iters() as u64;
+            match solve_movement_on(ctx, p, &pairs, caps.as_deref(), &s, cfg) {
+                Ok((l, acc)) => {
+                    lp_pivots += acc.pivots as u64;
                     // Apply moves on the replicated partitioning: drain
                     // buckets boundary-first, gain-ordered within a level
                     // (identical to sequential).
                     let mut buckets: Vec<Vec<(u32, i64, NodeId)>> = vec![Vec::new(); p * p];
-                    for (v, (&t, &l)) in tag.iter().zip(&level).enumerate() {
+                    for (v, (&t, &lv)) in tag.iter().zip(&level).enumerate() {
                         if t != NO_PART {
                             let gain = igp_graph::metrics::move_gain(g, &part, v as NodeId, t);
                             buckets[assign_now[v] as usize * p + t as usize].push((
-                                l,
+                                lv,
                                 -gain,
                                 v as NodeId,
                             ));
@@ -421,7 +404,7 @@ fn run_rank<E: Executor>(
                     let mut moved_flag = vec![false; g.num_vertices()];
                     let mut moved = 0u64;
                     for (k, &(i, j)) in pairs.iter().enumerate() {
-                        let want = sol.x[k].round().max(0.0) as usize;
+                        let want = l[k].max(0) as usize;
                         let bucket = &buckets[i as usize * p + j as usize];
                         let mut taken = 0usize;
                         for &(_, _, v) in bucket {
@@ -544,34 +527,14 @@ fn run_rank<E: Executor>(
             let mut success = false;
             let mut gained = 0u64;
             'attempts: for _attempt in 0..5 {
-                let mut model = LpModel::maximize(pairs.len());
-                for (k, &c) in caps.iter().enumerate() {
-                    model.set_objective(k, 1.0);
-                    model.set_upper_bound(k, c as f64);
-                }
-                for q in 0..p {
-                    let mut row: Vec<(usize, f64)> = Vec::new();
-                    for (k, &(i, j)) in pairs.iter().enumerate() {
-                        if i as usize == q {
-                            row.push((k, 1.0));
-                        } else if j as usize == q {
-                            row.push((k, -1.0));
-                        }
-                    }
-                    if !row.is_empty() {
-                        model.add_eq(row, 0.0);
-                    }
-                }
-                let sol = parallel_simplex(ctx, &model, cfg.simplex)
-                    .expect("circulation LP always feasible");
-                lp_pivots += sol.stats.total_iters() as u64;
-                let planned: f64 = sol.x.iter().sum();
-                if planned.round() as i64 == 0 {
+                let (l, acc) = solve_circulation_on(ctx, p, &pairs, &caps, cfg);
+                lp_pivots += acc.pivots as u64;
+                if l.iter().all(|&x| x <= 0) {
                     break 'attempts;
                 }
                 let mut undo: Vec<(NodeId, PartId)> = Vec::new();
                 for (k, &(i, j)) in pairs.iter().enumerate() {
-                    let want = sol.x[k].round().max(0.0) as usize;
+                    let want = l[k].max(0) as usize;
                     for &(v, _) in lists[k].iter().take(want) {
                         undo.push((v, i));
                         part.move_vertex(g, v, j);
@@ -583,8 +546,8 @@ fn run_rank<E: Executor>(
                     for &(v, back) in undo.iter().rev() {
                         part.move_vertex(g, v, back);
                     }
-                    for (c, &x) in caps.iter_mut().zip(&sol.x) {
-                        *c = (x.round().max(0.0) as u64) / 2;
+                    for (c, &x) in caps.iter_mut().zip(&l) {
+                        *c = (x.max(0) as u64) / 2;
                     }
                     if caps.iter().all(|&c| c == 0) {
                         break 'attempts;

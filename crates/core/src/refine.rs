@@ -15,11 +15,12 @@
 //! * a whole iteration whose *measured* cut increases (possible because
 //!   batch moves interact) is rolled back, making the phase monotone.
 
-use crate::balance::LpAccounting;
+use crate::balance::{arcs_of, solve_paper_lp, LpAccounting};
 use crate::config::{BalanceSolver, IgpConfig};
 use igp_graph::metrics::CutMetrics;
 use igp_graph::{CsrGraph, NodeId, PartId, Partitioning};
-use igp_lp::{flow, LpModel, Simplex};
+use igp_lp::flow;
+use igp_runtime::{Executor, Solo};
 
 /// One refinement iteration.
 #[derive(Clone, Debug)]
@@ -55,72 +56,44 @@ struct Candidate {
 
 /// Solve the circulation LP: maximize total movement under caps with zero
 /// net flow at every partition.
+///
+/// The sequential entry point: [`solve_circulation_on`] at size 1.
 pub fn solve_circulation(
     num_parts: usize,
     pairs: &[(PartId, PartId)],
     caps: &[u64],
     cfg: &IgpConfig,
 ) -> (Vec<i64>, LpAccounting) {
-    match cfg.solver {
-        BalanceSolver::NetworkFlow => {
-            let arcs: Vec<(usize, usize, i64)> = pairs
-                .iter()
-                .zip(caps)
-                .map(|(&(i, j), &c)| (i as usize, j as usize, c as i64))
-                .collect();
-            let (_, l) = flow::max_circulation(num_parts, &arcs);
-            let acc = LpAccounting {
-                vars: pairs.len(),
-                constraints: num_parts + pairs.len(),
-                pivots: 0,
-                work: (pairs.len() * num_parts) as u64,
-            };
-            (l, acc)
-        }
-        BalanceSolver::DenseSimplex | BalanceSolver::BoundedSimplex => {
-            let mut m = LpModel::maximize(pairs.len());
-            for (k, &c) in caps.iter().enumerate() {
-                m.set_objective(k, 1.0);
-                m.set_upper_bound(k, c as f64);
-            }
-            for q in 0..num_parts {
-                let mut row: Vec<(usize, f64)> = Vec::new();
-                for (k, &(i, j)) in pairs.iter().enumerate() {
-                    if i as usize == q {
-                        row.push((k, 1.0));
-                    } else if j as usize == q {
-                        row.push((k, -1.0));
-                    }
-                }
-                if !row.is_empty() {
-                    m.add_eq(row, 0.0);
-                }
-            }
-            let sol = match cfg.solver {
-                BalanceSolver::DenseSimplex => Simplex::new(cfg.simplex)
-                    .solve(&m)
-                    .expect("circulation LP is always feasible (l = 0)"),
-                _ => igp_lp::solve_bounded_with(&m, cfg.simplex)
-                    .expect("circulation LP is always feasible (l = 0)"),
-            };
-            let l: Vec<i64> = sol
-                .x
-                .iter()
-                .map(|&v| {
-                    let r = v.round();
-                    debug_assert!((v - r).abs() < 1e-5, "non-integral circulation {v}");
-                    r as i64
-                })
-                .collect();
-            let acc = LpAccounting {
-                vars: pairs.len(),
-                constraints: m.num_rows_expanded(),
-                pivots: sol.stats.total_iters(),
-                work: (sol.stats.total_iters() * sol.stats.rows * sol.stats.cols) as u64,
-            };
-            (l, acc)
-        }
+    solve_circulation_on(&mut Solo, num_parts, pairs, caps, cfg)
+}
+
+/// [`solve_circulation`] as a collective over the ranks of `ctx` (see
+/// [`crate::balance::solve_movement_on`]).
+pub fn solve_circulation_on<E: Executor>(
+    ctx: &mut E,
+    num_parts: usize,
+    pairs: &[(PartId, PartId)],
+    caps: &[u64],
+    cfg: &IgpConfig,
+) -> (Vec<i64>, LpAccounting) {
+    if cfg.solver != BalanceSolver::NetworkFlow {
+        let model = igp_lp::circulation_lp(num_parts, &arcs_of(pairs), caps);
+        return solve_paper_lp(ctx, &model, cfg.solver)
+            .expect("circulation LP is always feasible (l = 0)");
     }
+    let arcs: Vec<(usize, usize, i64)> = pairs
+        .iter()
+        .zip(caps)
+        .map(|(&(i, j), &c)| (i as usize, j as usize, c as i64))
+        .collect();
+    let (_, l) = flow::max_circulation(num_parts, &arcs);
+    let acc = LpAccounting {
+        vars: pairs.len(),
+        constraints: num_parts + pairs.len(),
+        pivots: 0,
+        work: (pairs.len() * num_parts) as u64,
+    };
+    (l, acc)
 }
 
 /// Collect per-pair candidate lists. `strict` selects `gain > 0` instead

@@ -6,9 +6,16 @@
 //!
 //! * [`LpModel`] — a small builder for LPs with non-negative variables,
 //!   optional upper bounds, and `≤ / = / ≥` constraints.
-//! * [`solve`] / [`Simplex`] — a dense **two-phase primal simplex** with
-//!   Dantzig pricing and Bland's-rule anti-cycling fallback, faithful to
-//!   the paper's solver choice.
+//!   [`movement_lp`] and [`circulation_lp`] state the paper's two LPs
+//!   (eq. 10 and eq. 14) over a partition adjacency.
+//! * [`solve`] / [`solve_on`] — one dense **two-phase primal simplex**
+//!   kernel with Dantzig pricing and a Bland's-rule anti-cycling
+//!   fallback, written as an SPMD routine over
+//!   [`igp_runtime::Executor`]: ranks own strided tableau columns (the
+//!   paper's parallelisation), and the sequential solver is the same
+//!   code at size 1. Variable bounds are native;
+//!   [`LpModel::caps_as_rows`] restates them as rows to reproduce the
+//!   paper's tableau sizes and pivot counts.
 //! * [`flow`] — network-flow solvers (Edmonds–Karp max-flow, SPFA-based
 //!   min-cost flow, cycle-cancelling max circulation). Both of the paper's
 //!   LPs are integral network problems, so these serve as independent
@@ -18,8 +25,7 @@
 //! `v = 188` variables and `c = 126` constraints and that each dense
 //! iteration costs `O(v·c)` — sizes this implementation handles in
 //! microseconds, while keeping the same dense-tableau structure that the
-//! paper parallelizes across processors (see `igp-runtime`/`igp-core` for
-//! the distributed-column version).
+//! paper parallelizes across processors.
 //!
 //! ```
 //! use igp_lp::{LpModel, solve};
@@ -34,11 +40,9 @@
 //! assert!((sol.objective - 12.0).abs() < 1e-9);
 //! ```
 
-pub mod bounded;
 pub mod flow;
 pub mod model;
 pub mod simplex;
 
-pub use bounded::{solve_bounded, solve_bounded_with};
-pub use model::{Cmp, Constraint, LpModel, Sense};
-pub use simplex::{solve, LpError, LpSolution, Simplex, SimplexOptions, SimplexStats};
+pub use model::{circulation_lp, movement_lp, Cmp, Constraint, LpModel, Sense};
+pub use simplex::{solve, solve_on, LpError, LpSolution, SimplexStats};

@@ -104,6 +104,26 @@ impl LpModel {
         self.constraints.len() + self.upper.iter().filter(|u| u.is_some()).count()
     }
 
+    /// The same LP with every upper bound `x_i ≤ u_i` restated as a
+    /// constraint row (appended after the functional rows, in variable
+    /// order) and no bounds left — the paper's own formulation, in which
+    /// the eq. 11 / eq. 15 caps are rows of the dense tableau. Solving
+    /// this reproduces the paper's tableau sizes and pivot counts;
+    /// solving `self` handles the caps as native bounds.
+    pub fn caps_as_rows(&self) -> LpModel {
+        let mut m = self.clone();
+        for (i, ub) in m.upper.iter_mut().enumerate() {
+            if let Some(u) = ub.take() {
+                m.constraints.push(Constraint {
+                    coeffs: vec![(i, 1.0)],
+                    cmp: Cmp::Le,
+                    rhs: u,
+                });
+            }
+        }
+        m
+    }
+
     /// Set the objective coefficient of variable `i`.
     pub fn set_objective(&mut self, i: usize, c: f64) {
         self.objective[i] = c;
@@ -188,9 +208,116 @@ impl LpModel {
     }
 }
 
+/// The paper's load-balancing LP (eq. 10–12): minimize total movement
+/// `Σ l_k` over the directed partition pairs `arcs`, with `l_k ≤ caps[k]`
+/// when capped, subject to `out(q) − in(q) = surplus[q]` at every
+/// partition `q`.
+pub fn movement_lp(
+    num_parts: usize,
+    arcs: &[(usize, usize)],
+    caps: Option<&[u64]>,
+    surplus: &[i64],
+) -> LpModel {
+    net_flow_lp(Sense::Minimize, num_parts, arcs, caps, Some(surplus))
+}
+
+/// The paper's refinement LP (eq. 14–16): maximize total movement
+/// `Σ l_k` with `l_k ≤ caps[k]`, subject to zero net flow at every
+/// partition an arc touches.
+pub fn circulation_lp(num_parts: usize, arcs: &[(usize, usize)], caps: &[u64]) -> LpModel {
+    net_flow_lp(Sense::Maximize, num_parts, arcs, Some(caps), None)
+}
+
+/// Unit objective, optional caps, and one net-outflow equality per
+/// partition (`+1` on outgoing arcs, `−1` on incoming): against
+/// `surplus` when given, else against 0 with untouched partitions
+/// skipped.
+fn net_flow_lp(
+    sense: Sense,
+    num_parts: usize,
+    arcs: &[(usize, usize)],
+    caps: Option<&[u64]>,
+    surplus: Option<&[i64]>,
+) -> LpModel {
+    let mut m = LpModel::new(arcs.len(), sense);
+    m.objective.fill(1.0);
+    for (k, &c) in caps.into_iter().flatten().enumerate() {
+        m.set_upper_bound(k, c as f64);
+    }
+    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_parts];
+    for (k, &(i, j)) in arcs.iter().enumerate() {
+        rows[i].push((k, 1.0));
+        if j != i {
+            rows[j].push((k, -1.0));
+        }
+    }
+    for (q, row) in rows.into_iter().enumerate() {
+        match surplus {
+            Some(s) => m.add_eq(row, s[q] as f64),
+            None if !row.is_empty() => m.add_eq(row, 0.0),
+            None => {}
+        }
+    }
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn caps_as_rows_appends_bounds_in_variable_order() {
+        let mut m = LpModel::maximize(3);
+        m.set_upper_bound(2, 4.0);
+        m.set_upper_bound(0, 1.0);
+        m.add_ge(vec![(1, 1.0)], 2.0);
+        let d = m.caps_as_rows();
+        assert!(d.upper_bounds().iter().all(Option::is_none));
+        assert_eq!(d.constraints()[0], m.constraints()[0]);
+        let caps: Vec<_> = d.constraints()[1..]
+            .iter()
+            .map(|c| (c.coeffs.clone(), c.cmp, c.rhs))
+            .collect();
+        assert_eq!(
+            caps,
+            vec![
+                (vec![(0, 1.0)], Cmp::Le, 1.0),
+                (vec![(2, 1.0)], Cmp::Le, 4.0)
+            ]
+        );
+        assert_eq!(d.constraints().len(), m.num_rows_expanded());
+    }
+
+    #[test]
+    fn paper_lp_builders_state_net_outflow_per_partition() {
+        let arcs = [(0, 1), (1, 0), (1, 2)];
+        let mv = movement_lp(4, &arcs, None, &[2, -1, -1, 0]);
+        assert_eq!(mv.sense(), Sense::Minimize);
+        assert_eq!(mv.objective(), &[1.0, 1.0, 1.0]);
+        assert!(mv.upper_bounds().iter().all(Option::is_none));
+        let rows: Vec<_> = mv
+            .constraints()
+            .iter()
+            .map(|c| (c.coeffs.clone(), c.rhs))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                (vec![(0, 1.0), (1, -1.0)], 2.0),
+                (vec![(0, -1.0), (1, 1.0), (2, 1.0)], -1.0),
+                (vec![(2, -1.0)], -1.0),
+                (vec![], 0.0), // the movement LP keeps untouched partitions
+            ]
+        );
+        let circ = circulation_lp(4, &arcs, &[5, 6, 7]);
+        assert_eq!(circ.sense(), Sense::Maximize);
+        assert_eq!(circ.upper_bounds(), &[Some(5.0), Some(6.0), Some(7.0)]);
+        assert_eq!(circ.constraints().len(), 3); // partition 3 skipped
+        assert!(circ
+            .constraints()
+            .iter()
+            .all(|c| c.cmp == Cmp::Eq && c.rhs == 0.0));
+    }
 
     #[test]
     fn builder_basics() {

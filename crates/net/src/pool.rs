@@ -1,8 +1,8 @@
 //! [`WorkerPool`]: a small fixed pool for CPU-heavy jobs off the event loop.
 //!
-//! Built on `Mutex<VecDeque> + Condvar` rather than the vendored crossbeam
-//! channel: that stand-in wraps `std::sync::mpsc`, which is single-consumer,
-//! and a pool needs N consumers on one queue.
+//! Built on `Mutex<VecDeque> + Condvar` rather than `std::sync::mpsc`:
+//! that channel is single-consumer, and a pool needs N consumers on one
+//! queue.
 //!
 //! The pool itself carries no observability state: jobs are opaque
 //! closures, so callers that need per-request context on the worker

@@ -1,8 +1,8 @@
 //! Per-rank execution context: typed sends/receives and the virtual clock.
 
 use crate::cost::CostModel;
-use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
+use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
 
 /// Watchdog for blocking receives — a deadlocked SPMD program fails fast

@@ -1,9 +1,10 @@
 //! The [`Executor`] abstraction: the SPMD primitives the partitioning
 //! drivers are written against, decoupled from the execution substrate.
 //!
-//! The drivers in `igp-core` (`parallel`, `psimplex`) are generic over
-//! this trait, so the *algorithm* — ownership split, collective schedule,
-//! deterministic tie-breaks — is written once and runs on any backend:
+//! The SPMD driver in `igp-core::parallel` and the simplex kernel in
+//! `igp-lp` are generic over this trait, so the *algorithm* — ownership
+//! split, collective schedule, deterministic tie-breaks — is written
+//! once and runs on any backend:
 //!
 //! * [`Backend::SimCm5`] — the message-passing [`crate::Machine`]: OS
 //!   threads exchanging typed messages, every operation charged to the
@@ -234,6 +235,70 @@ impl Executor for crate::Ctx {
     }
 }
 
+/// The one-rank executor with nothing behind it: rank 0 of 1, `charge`
+/// a no-op, no clock, every collective the identity. An SPMD routine
+/// written against [`Executor`] *is* its own sequential version when
+/// handed a `Solo` — the calls monomorphise away, so there is no twin
+/// to keep in step (`igp_lp::solve` is `igp_lp::solve_on` on a `Solo`).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Solo;
+
+impl Executor for Solo {
+    #[inline]
+    fn rank(&self) -> usize {
+        0
+    }
+
+    #[inline]
+    fn size(&self) -> usize {
+        1
+    }
+
+    #[inline]
+    fn charge(&mut self, _units: u64) {}
+
+    #[inline]
+    fn now(&self) -> f64 {
+        0.0
+    }
+
+    #[inline]
+    fn barrier(&mut self) {}
+
+    #[inline]
+    fn broadcast<M>(&mut self, _root: usize, val: Option<M>, _words: u64) -> M
+    where
+        M: Clone + Send + 'static,
+    {
+        val.expect("Solo is always the root")
+    }
+
+    #[inline]
+    fn allgather<M>(&mut self, val: M, _words: u64) -> Vec<M>
+    where
+        M: Clone + Send + 'static,
+    {
+        vec![val]
+    }
+
+    #[inline]
+    fn allreduce<M, F>(&mut self, val: M, _words: u64, _op: F) -> M
+    where
+        M: Clone + Send + 'static,
+        F: Fn(M, M) -> M,
+    {
+        val
+    }
+
+    #[inline]
+    fn exchange<M>(&mut self, outboxes: Vec<Vec<M>>, _words_per_item: u64) -> Vec<Vec<M>>
+    where
+        M: Send + 'static,
+    {
+        outboxes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,6 +343,13 @@ mod tests {
             }
             assert_eq!(per_backend[0], per_backend[1], "p={p}");
         }
+    }
+
+    #[test]
+    fn solo_is_the_one_rank_machine() {
+        let (outs, _) = Backend::SimCm5.launch(1, CostModel::cm5(), &Pipeline);
+        assert_eq!(Pipeline.run(&mut Solo), outs[0]);
+        assert_eq!(Exchanger.run(&mut Solo), vec![vec![0]]);
     }
 
     struct Exchanger;

@@ -23,6 +23,11 @@
 //!   deterministic collective results, so drivers produce bit-identical
 //!   partitions on either backend.
 //!
+//! [`Solo`] is the third implementor and not a backend: the one-rank
+//! executor whose collectives are the identity, which is how an SPMD
+//! routine (the simplex kernel in `igp-lp`) serves sequential callers
+//! without a second copy of itself.
+//!
 //! ```
 //! use igp_runtime::{Machine, CostModel, SharedMachine};
 //!
@@ -54,6 +59,6 @@ pub mod shared;
 
 pub use cost::{CostModel, SimReport};
 pub use ctx::Ctx;
-pub use exec::{Backend, Executor, SpmdJob};
+pub use exec::{Backend, Executor, Solo, SpmdJob};
 pub use machine::Machine;
 pub use shared::{SharedCtx, SharedMachine};

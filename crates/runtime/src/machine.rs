@@ -3,7 +3,7 @@
 
 use crate::cost::{CostModel, SimReport};
 use crate::ctx::{Ctx, Envelope};
-use crossbeam::channel::unbounded;
+use std::sync::mpsc::channel;
 
 /// A virtual `p`-rank message-passing machine.
 #[derive(Clone, Copy, Debug)]
@@ -34,7 +34,7 @@ impl Machine {
         F: Fn(&mut Ctx) -> T + Sync,
     {
         let start = std::time::Instant::now();
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..self.p).map(|_| unbounded::<Envelope>()).unzip();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..self.p).map(|_| channel::<Envelope>()).unzip();
         let mut ctxs: Vec<Ctx> = rxs
             .into_iter()
             .enumerate()
@@ -55,12 +55,12 @@ impl Machine {
                 ctx.charged_work,
             )]
         } else {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = ctxs
                     .iter_mut()
                     .map(|ctx| {
                         let f = &f;
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let out = f(ctx);
                             (
                                 out,
@@ -82,7 +82,6 @@ impl Machine {
                     })
                     .collect()
             })
-            .expect("SPMD scope failed")
         };
 
         let mut report = SimReport {

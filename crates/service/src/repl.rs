@@ -45,6 +45,45 @@ pub(crate) struct FollowerConfig {
     pub failover: Option<Duration>,
 }
 
+/// Minimum spacing of repeated `primary unreachable` warnings: a
+/// follower ticks every few tens of milliseconds, and an outage would
+/// otherwise log one line per failed tick.
+const DOWN_LOG_EVERY: Duration = Duration::from_secs(1);
+
+/// Rate limiter for the failed-tick warning. The ok→down transition is
+/// always logged; repeats at most once per [`DOWN_LOG_EVERY`], carrying
+/// the number of failures skipped in between; the first success after
+/// an outage is reported once. The clock is the caller's `now`.
+#[derive(Default)]
+struct DownLog {
+    /// When the current outage was last logged; `None` while up.
+    last_logged: Option<Instant>,
+    suppressed: u64,
+}
+
+impl DownLog {
+    /// A tick failed at `now`. `Some(n)` = log it, with `n` failures
+    /// suppressed since the previous line; `None` = stay quiet.
+    fn failed(&mut self, now: Instant) -> Option<u64> {
+        match self.last_logged {
+            Some(t) if now.duration_since(t) < DOWN_LOG_EVERY => {
+                self.suppressed += 1;
+                None
+            }
+            _ => {
+                self.last_logged = Some(now);
+                Some(std::mem::take(&mut self.suppressed))
+            }
+        }
+    }
+
+    /// A tick succeeded; true when that ends an outage.
+    fn recovered(&mut self) -> bool {
+        self.suppressed = 0;
+        self.last_logged.take().is_some()
+    }
+}
+
 /// Where the follower stands in one session's WAL: the snapshot
 /// sequence it is tailing and the absolute byte offset of the next
 /// frame to fetch.
@@ -65,6 +104,7 @@ pub(crate) struct ReplEngine {
     conn: Option<IgpClient>,
     /// Last successful tick, for the failover window.
     last_ok: Instant,
+    down_log: DownLog,
 }
 
 /// True once replication must cease: server shutdown, explicit stop,
@@ -80,6 +120,7 @@ impl ReplEngine {
             cursors: HashMap::new(),
             conn: None,
             last_ok: Instant::now(),
+            down_log: DownLog::default(),
         }
     }
 
@@ -99,17 +140,26 @@ impl ReplEngine {
             &mut self.cursors,
         ) {
             Ok(()) => {
+                if self.down_log.recovered() {
+                    igp_obs::info!(
+                        target: "repl", "primary reachable again";
+                        primary = self.cfg.primary.as_str(),
+                        down_ms = self.last_ok.elapsed().as_millis() as u64,
+                    );
+                }
                 self.last_ok = Instant::now();
                 true
             }
             Err(e) => {
                 self.conn = None; // reconnect next tick
                 let down = self.last_ok.elapsed();
-                igp_obs::warn!(
-                    target: "repl", "primary unreachable";
-                    primary = self.cfg.primary.as_str(), detail = e.to_string(),
-                    down_ms = down.as_millis() as u64,
-                );
+                if let Some(suppressed) = self.down_log.failed(Instant::now()) {
+                    igp_obs::warn!(
+                        target: "repl", "primary unreachable";
+                        primary = self.cfg.primary.as_str(), detail = e.to_string(),
+                        down_ms = down.as_millis() as u64, suppressed = suppressed,
+                    );
+                }
                 if self.cfg.failover.is_some_and(|w| down >= w) {
                     igp_obs::warn!(
                         target: "repl", "heartbeat window elapsed; promoting";
@@ -367,5 +417,33 @@ fn drop_local(ctx: &ServerCtx, sid: &str) {
     }
     if let Some(dd) = &ctx.data_dir {
         let _ = std::fs::remove_dir_all(dd.join(sid));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn down_log_speaks_on_transitions_and_once_per_interval() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut log = DownLog::default();
+        assert!(!log.recovered(), "never down: nothing to report");
+
+        // ok → down is logged at once; 25 ms ticks inside the interval are not.
+        assert_eq!(log.failed(at(0)), Some(0));
+        for tick in 1..40 {
+            assert_eq!(log.failed(at(25 * tick)), None, "tick {tick}");
+        }
+        // One interval on: one line, carrying what was skipped.
+        assert_eq!(log.failed(at(1000)), Some(39));
+        assert_eq!(log.failed(at(1500)), None);
+        assert_eq!(log.failed(at(2000)), Some(1));
+
+        // Recovery is reported exactly once and rearms the transition.
+        assert!(log.recovered());
+        assert!(!log.recovered());
+        assert_eq!(log.failed(at(2010)), Some(0));
     }
 }

@@ -1,4 +1,5 @@
-//! Property tests: the dense simplex against the combinatorial
+//! Property tests: the simplex kernel (caps as rows — the paper's dense
+//! formulation — and caps as native bounds) against the combinatorial
 //! network-flow oracles on randomized instances of both paper LPs.
 
 mod common;
@@ -41,7 +42,7 @@ proptest! {
     fn simplex_matches_flow_oracle((p, arcs, surplus) in transshipment_strategy()) {
         let model = balance_lp(p, &arcs, &surplus);
         let oracle = flow::min_movement_transshipment(p, &arcs, &surplus);
-        match solve(&model) {
+        match solve(&model.caps_as_rows()) {
             Ok(sol) => {
                 let (cost, _) = oracle.expect("simplex feasible but oracle infeasible");
                 prop_assert!((sol.objective - cost as f64).abs() < 1e-6,
@@ -50,8 +51,8 @@ proptest! {
                 for &v in &sol.x {
                     prop_assert!((v - v.round()).abs() < 1e-6, "non-integral {v}");
                 }
-                // The bounded-variable solver must agree too.
-                let bd = igp::lp::solve_bounded(&model).expect("bounded solver disagrees");
+                // Native bounds must agree too.
+                let bd = solve(&model).expect("bounded solver disagrees");
                 prop_assert!((bd.objective - cost as f64).abs() < 1e-6,
                     "bounded objective {} vs oracle {}", bd.objective, cost);
                 model.check_feasible(&bd.x, 1e-6).unwrap();
@@ -59,7 +60,7 @@ proptest! {
             Err(igp::lp::LpError::Infeasible) => {
                 prop_assert!(oracle.is_none(), "oracle feasible but simplex infeasible");
                 prop_assert_eq!(
-                    igp::lp::solve_bounded(&model).err(),
+                    solve(&model).err(),
                     Some(igp::lp::LpError::Infeasible)
                 );
             }
@@ -86,7 +87,7 @@ proptest! {
                 m.add_eq(row, 0.0);
             }
         }
-        let sol = solve(&m).unwrap();
+        let sol = solve(&m.caps_as_rows()).unwrap();
         prop_assert!((sol.objective - oracle_total as f64).abs() < 1e-6,
             "simplex {} vs cycle-cancelling {}", sol.objective, oracle_total);
         m.check_feasible(&sol.x, 1e-6).unwrap();
@@ -115,8 +116,8 @@ proptest! {
             maxm.add_le(row.clone(), b * n as f64);
             minm.add_le(row, b * n as f64);
         }
-        let a = solve(&maxm).unwrap();
-        let b = solve(&minm).unwrap();
+        let a = solve(&maxm.caps_as_rows()).unwrap();
+        let b = solve(&minm.caps_as_rows()).unwrap();
         prop_assert!((a.objective + b.objective).abs() < 1e-6,
             "max {} vs -min {}", a.objective, -b.objective);
         maxm.check_feasible(&a.x, 1e-6).unwrap();
