@@ -6,7 +6,7 @@
 //! are clustered and each cluster goes to the least-loaded partition
 //! (the paper's fallback strategy).
 
-use igp_graph::traversal::{clusters_of, nearest_owner_bfs};
+use igp_graph::traversal::{clusters_of, nearest_owner_bfs_into};
 use igp_graph::{IncrementalGraph, NodeId, PartId, Partitioning, NO_PART};
 
 /// Statistics from the assignment phase.
@@ -18,7 +18,9 @@ pub struct AssignReport {
     pub clustered: usize,
     /// Largest BFS distance from a new vertex to its seeding old vertex.
     pub max_dist: u32,
-    /// Work units (edges scanned) — feeds the cost model.
+    /// Work units (edges scanned: the new vertices' rows, the seeding old
+    /// vertices' rows and the BFS over claimed new vertices) — feeds the
+    /// cost model.
     pub work: u64,
 }
 
@@ -33,26 +35,40 @@ pub fn assign_new_vertices(
     let g = inc.new_graph();
     let p = old_part.num_parts();
     let mut assign = igp_graph::partition::transfer_assignment(inc, old_part);
-    let seeds: Vec<(NodeId, u32)> = assign
-        .iter()
-        .enumerate()
-        .filter(|&(_, &q)| q != NO_PART)
-        .map(|(v, &q)| (v as NodeId, q))
+    let added: Vec<NodeId> = g
+        .vertices()
+        .filter(|&v| assign[v as usize] == NO_PART)
         .collect();
     let mut report = AssignReport {
-        new_vertices: g.num_vertices() - seeds.len(),
+        new_vertices: added.len(),
         ..Default::default()
     };
-    // Multi-source BFS from all old vertices: the first partition to reach
-    // a new vertex claims it (= nearest old vertex, eq. 7).
+    // The first partition to reach a new vertex claims it (= nearest old
+    // vertex, eq. 7). In a multi-source BFS from all old vertices every
+    // old vertex sits at distance 0, so only those with a new neighbour
+    // can claim anything and claims only ever spread through new
+    // vertices: seed those, expand into new vertices only.
+    let mut seeds: Vec<(NodeId, u32)> = Vec::new();
+    for &a in &added {
+        report.work += g.degree(a) as u64;
+        for &u in g.neighbors(a) {
+            let q = assign[u as usize];
+            if q != NO_PART {
+                seeds.push((u, q));
+            }
+        }
+    }
     if !seeds.is_empty() {
-        let (owner, dist) = nearest_owner_bfs(g, &seeds);
-        report.work = 2 * g.num_edges() as u64;
-        for v in g.vertices() {
-            let vi = v as usize;
-            if assign[vi] == NO_PART && owner[vi] != u32::MAX {
-                assign[vi] = owner[vi];
-                report.max_dist = report.max_dist.max(dist[vi]);
+        seeds.sort_unstable();
+        seeds.dedup();
+        let (owner, dist) = nearest_owner_bfs_into(g, &seeds, |v| assign[v as usize] == NO_PART);
+        report.work += seeds.iter().map(|&(s, _)| g.degree(s) as u64).sum::<u64>();
+        for &a in &added {
+            let ai = a as usize;
+            if owner[ai] != u32::MAX {
+                assign[ai] = owner[ai];
+                report.max_dist = report.max_dist.max(dist[ai]);
+                report.work += g.degree(a) as u64;
             }
         }
     }

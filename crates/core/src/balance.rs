@@ -15,7 +15,7 @@
 
 use crate::config::{BalanceSolver, CapPolicy, IgpConfig};
 use crate::layer::{layer_partitions, Layering};
-use igp_graph::{CsrGraph, PartId, Partitioning};
+use igp_graph::{CsrGraph, NodeId, PartId, Partitioning, NO_PART};
 use igp_lp::{flow, LpError, LpModel};
 use igp_runtime::{Executor, Solo};
 
@@ -209,12 +209,7 @@ pub(crate) fn solve_paper_lp<E: Executor>(
 
 /// Gain of moving `v` to partition `j` under the *current* assignment:
 /// weighted edges into `j` minus edges into `v`'s own partition.
-pub(crate) fn drain_gain(
-    g: &CsrGraph,
-    part: &Partitioning,
-    v: igp_graph::NodeId,
-    j: PartId,
-) -> i64 {
+pub(crate) fn drain_gain(g: &CsrGraph, part: &Partitioning, v: NodeId, j: PartId) -> i64 {
     igp_graph::metrics::move_gain(g, part, v, j)
 }
 
@@ -343,8 +338,24 @@ fn apply_moves(
     l: &[i64],
     policy: CapPolicy,
 ) -> u64 {
-    let buckets = layering.buckets(assign_before);
     let p = layering.num_parts;
+    // Gather buckets only for the pairs the LP moves anything along
+    // (a handful of the P² a full bucketing would fill).
+    let mut slot = vec![usize::MAX; p * p];
+    let mut buckets: Vec<Vec<NodeId>> = Vec::new();
+    for (k, &(i, j)) in pairs.iter().enumerate() {
+        if l[k] > 0 {
+            slot[i as usize * p + j as usize] = buckets.len();
+            buckets.push(Vec::new());
+        }
+    }
+    for (v, &t) in layering.tag.iter().enumerate() {
+        if t != NO_PART {
+            if let Some(b) = buckets.get_mut(slot[assign_before[v] as usize * p + t as usize]) {
+                b.push(v as NodeId);
+            }
+        }
+    }
     let mut moved_flag = vec![false; g.num_vertices()];
     let mut moved = 0u64;
     for (k, &(i, j)) in pairs.iter().enumerate() {
@@ -352,16 +363,15 @@ fn apply_moves(
         if want == 0 {
             continue;
         }
-        let mut bucket: Vec<igp_graph::NodeId> = buckets[i as usize * p + j as usize].clone();
-        bucket.sort_by_key(|&v| {
-            (
-                layering.level[v as usize],
-                -crate::balance::drain_gain(g, part, v, j),
-                v,
-            )
-        });
+        // Drain order: level, then gain under the assignment as it
+        // stands when this pair's turn comes, then id.
+        let mut bucket: Vec<(u32, i64, NodeId)> = buckets[slot[i as usize * p + j as usize]]
+            .iter()
+            .map(|&v| (layering.level[v as usize], -drain_gain(g, part, v, j), v))
+            .collect();
+        bucket.sort_unstable();
         let mut taken = 0usize;
-        for &v in bucket.iter() {
+        for &(_, _, v) in bucket.iter() {
             if taken == want {
                 break;
             }
@@ -379,9 +389,9 @@ fn apply_moves(
                 bucket.len()
             );
             // Overflow: any remaining vertices of i, shallowest layer first.
-            let mut rest: Vec<(u32, igp_graph::NodeId)> = (0..g.num_vertices())
+            let mut rest: Vec<(u32, NodeId)> = (0..g.num_vertices())
                 .filter(|&v| assign_before[v] == i && !moved_flag[v])
-                .map(|v| (layering.level[v].min(u32::MAX - 1), v as igp_graph::NodeId))
+                .map(|v| (layering.level[v].min(u32::MAX - 1), v as NodeId))
                 .collect();
             rest.sort_unstable();
             for (_, v) in rest {

@@ -13,7 +13,6 @@
 //! in boundary-first order.
 
 use igp_graph::{CsrGraph, NodeId, PartId, NO_PART};
-use rayon::prelude::*;
 
 /// Result of layering all partitions.
 #[derive(Clone, Debug)]
@@ -27,8 +26,12 @@ pub struct Layering {
     pub level: Vec<u32>,
     /// Dense `P×P` row-major movability counts: `lambda[i·P + j] = λ_ij`.
     pub lambda: Vec<u64>,
-    /// Work units (edge scans) for the cost model.
+    /// Work units (edge scans) for the cost model: the sum of
+    /// [`Layering::part_work`].
     pub work: u64,
+    /// Edge scans spent on each partition (what a rank layering only
+    /// its own partitions is charged).
+    pub part_work: Vec<u64>,
 }
 
 impl Layering {
@@ -58,185 +61,126 @@ impl Layering {
     }
 }
 
-/// Layer every partition (in parallel over partitions via rayon).
+/// Layer every partition.
 pub fn layer_partitions(g: &CsrGraph, assign: &[PartId], p: usize) -> Layering {
-    debug_assert_eq!(assign.len(), g.num_vertices());
-    // Member lists.
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); p];
-    for (v, &q) in assign.iter().enumerate() {
-        members[q as usize].push(v as NodeId);
-    }
-    let per_part: Vec<PartLayerOutput> = members
-        .par_iter()
-        .enumerate()
-        .map(|(i, mem)| layer_one(g, assign, i as PartId, mem))
-        .collect();
+    layer_owned(g, assign, p, |_| true)
+}
+
+/// Layer the partitions `owned` selects; vertices of every other
+/// partition stay untagged and cost nothing.
+///
+/// Partitions are disjoint and the inward sweep only looks at
+/// same-partition neighbours, so one level-synchronous BFS over flat
+/// arrays labels all of them at once. A vertex's tag is the majority over
+/// its neighbours one level closer to the boundary — labels that were
+/// final before its level began — so neither the labels nor the
+/// per-partition work depend on the order vertices are visited in.
+pub fn layer_owned(
+    g: &CsrGraph,
+    assign: &[PartId],
+    p: usize,
+    owned: impl Fn(PartId) -> bool,
+) -> Layering {
     let n = g.num_vertices();
+    debug_assert_eq!(assign.len(), n);
     let mut out = Layering {
         num_parts: p,
         tag: vec![NO_PART; n],
         level: vec![u32::MAX; n],
         lambda: vec![0; p * p],
         work: 0,
+        part_work: vec![0; p],
     };
-    for (i, (labels, work)) in per_part.into_iter().enumerate() {
-        out.work += work;
-        for (v, t, l) in labels {
-            out.tag[v as usize] = t;
-            out.level[v as usize] = l;
-            if t != NO_PART {
-                out.lambda[i * p + t as usize] += 1;
+    // Scratch tally of the tags seen around one vertex; zeroed again by
+    // `majority` before the next vertex.
+    let mut counts = vec![0u32; p];
+    let mut touched: Vec<PartId> = Vec::new();
+    fn count(q: PartId, counts: &mut [u32], touched: &mut Vec<PartId>) {
+        if counts[q as usize] == 0 {
+            touched.push(q);
+        }
+        counts[q as usize] += 1;
+    }
+    // The most frequent tag, ties to the smaller partition id.
+    fn majority(counts: &mut [u32], touched: &mut Vec<PartId>) -> Option<PartId> {
+        let mut best: Option<(u32, PartId)> = None;
+        for q in touched.drain(..) {
+            let c = std::mem::take(&mut counts[q as usize]);
+            if best.is_none_or(|(bc, bq)| c > bc || (c == bc && q < bq)) {
+                best = Some((c, q));
             }
         }
+        best.map(|(_, q)| q)
     }
-    out
-}
-
-/// One partition's layering result: `(vertex, tag, level)` labels plus
-/// the work performed.
-pub(crate) type PartLayerOutput = (Vec<(NodeId, PartId, u32)>, u64);
-
-/// Layer a single partition. Exposed crate-wide so the SPMD driver can
-/// layer its owned partitions with the identical kernel.
-pub(crate) fn layer_one(
-    g: &CsrGraph,
-    assign: &[PartId],
-    i: PartId,
-    members: &[NodeId],
-) -> PartLayerOutput {
-    let p_sentinel = u32::MAX;
-    let mut work = 0u64;
-    // Local state, keyed by position in `members` via a lookup map over
-    // vertex ids (index into dense arrays by vertex id; the graph is shared
-    // so this wastes no per-partition allocation on big graphs only for
-    // tags of foreign vertices — acceptable: one u32 + one u8 per vertex
-    // would be n-sized per partition. Instead use a compact local index.)
-    let local_of = {
-        // Sparse position map: only member vertices get a slot.
-        let mut map = vec![u32::MAX; g.num_vertices()];
-        for (k, &v) in members.iter().enumerate() {
-            map[v as usize] = k as u32;
-        }
-        map
-    };
-    let m = members.len();
-    let mut tag = vec![p_sentinel; m];
-    let mut level = vec![u32::MAX; m];
-    let mut counts: Vec<u32> = Vec::new(); // scratch per-vertex tag counter
-    let num_parts_hint = 64; // counts sized lazily below
 
     // Level 0: boundary vertices pick the foreign partition with the most
-    // incident edges (weighted by edge multiplicity = count of edges).
+    // incident edges.
     let mut frontier: Vec<NodeId> = Vec::new();
-    for (k, &v) in members.iter().enumerate() {
-        let mut best: Option<(u32, PartId)> = None; // (count, part)
-        counts.clear();
-        counts.resize(num_parts_hint, 0);
-        let mut touched: Vec<PartId> = Vec::new();
+    for v in g.vertices() {
+        let i = assign[v as usize];
+        if !owned(i) {
+            continue;
+        }
+        out.part_work[i as usize] += g.degree(v) as u64;
         for &u in g.neighbors(v) {
-            work += 1;
             let q = assign[u as usize];
             if q != i {
-                let qi = q as usize;
-                if qi >= counts.len() {
-                    counts.resize(qi + 1, 0);
-                }
-                if counts[qi] == 0 {
-                    touched.push(q);
-                }
-                counts[qi] += 1;
+                count(q, &mut counts, &mut touched);
             }
         }
-        for &q in &touched {
-            let c = counts[q as usize];
-            counts[q as usize] = 0;
-            match best {
-                None => best = Some((c, q)),
-                Some((bc, bq)) => {
-                    if c > bc || (c == bc && q < bq) {
-                        best = Some((c, q));
-                    }
-                }
-            }
-        }
-        if let Some((_, q)) = best {
-            tag[k] = q;
-            level[k] = 0;
+        if let Some(q) = majority(&mut counts, &mut touched) {
+            out.tag[v as usize] = q;
+            out.level[v as usize] = 0;
             frontier.push(v);
         }
     }
 
-    // Inward sweep: untagged members adjacent to the frontier take the
-    // majority tag of their level-L neighbours.
+    // Inward sweep: untagged vertices adjacent to the frontier inside
+    // their own partition take the majority tag of their level-`lvl`
+    // neighbours.
     let mut lvl = 0u32;
     let mut candidates: Vec<NodeId> = Vec::new();
-    let mut in_candidates = vec![false; m];
+    let mut in_candidates = vec![false; n];
     while !frontier.is_empty() {
         candidates.clear();
         for &v in &frontier {
+            let i = assign[v as usize];
+            out.part_work[i as usize] += g.degree(v) as u64;
             for &u in g.neighbors(v) {
-                work += 1;
-                let lu = local_of[u as usize];
-                if lu != u32::MAX && tag[lu as usize] == p_sentinel && !in_candidates[lu as usize] {
-                    in_candidates[lu as usize] = true;
+                let ui = u as usize;
+                if assign[ui] == i && out.tag[ui] == NO_PART && !in_candidates[ui] {
+                    in_candidates[ui] = true;
                     candidates.push(u);
                 }
             }
         }
         frontier.clear();
         for &v in &candidates {
-            let k = local_of[v as usize] as usize;
-            in_candidates[k] = false;
-            let mut best: Option<(u32, PartId)> = None;
-            let mut touched: Vec<PartId> = Vec::new();
+            let i = assign[v as usize];
+            in_candidates[v as usize] = false;
+            out.part_work[i as usize] += g.degree(v) as u64;
             for &u in g.neighbors(v) {
-                work += 1;
-                let lu = local_of[u as usize];
-                if lu != u32::MAX && level[lu as usize] == lvl {
-                    let q = tag[lu as usize];
-                    let qi = q as usize;
-                    if qi >= counts.len() {
-                        counts.resize(qi + 1, 0);
-                    }
-                    if counts[qi] == 0 {
-                        touched.push(q);
-                    }
-                    counts[qi] += 1;
+                let ui = u as usize;
+                if assign[ui] == i && out.level[ui] == lvl {
+                    count(out.tag[ui], &mut counts, &mut touched);
                 }
             }
-            for &q in &touched {
-                let c = counts[q as usize];
-                counts[q as usize] = 0;
-                match best {
-                    None => best = Some((c, q)),
-                    Some((bc, bq)) => {
-                        if c > bc || (c == bc && q < bq) {
-                            best = Some((c, q));
-                        }
-                    }
-                }
-            }
-            let (_, q) = best.expect("candidate must have a levelled neighbour");
-            tag[k] = q;
-            level[k] = lvl + 1;
+            let q = majority(&mut counts, &mut touched)
+                .expect("candidate must have a levelled neighbour");
+            out.tag[v as usize] = q;
+            out.level[v as usize] = lvl + 1;
             frontier.push(v);
         }
         lvl += 1;
     }
 
-    let labels = members
-        .iter()
-        .enumerate()
-        .map(|(k, &v)| {
-            let t = if tag[k] == p_sentinel {
-                NO_PART
-            } else {
-                tag[k]
-            };
-            (v, t, level[k])
-        })
-        .collect();
-    (labels, work)
+    for (v, &t) in out.tag.iter().enumerate() {
+        if t != NO_PART {
+            out.lambda[assign[v] as usize * p + t as usize] += 1;
+        }
+    }
+    out.work = out.part_work.iter().sum();
+    out
 }
 
 #[cfg(test)]

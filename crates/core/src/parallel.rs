@@ -37,7 +37,7 @@
 
 use crate::balance::{adjacency_pairs, integer_targets, scale_surplus, solve_movement_on};
 use crate::config::{CapPolicy, IgpConfig};
-use crate::layer::layer_one;
+use crate::layer::layer_owned;
 use crate::refine::solve_circulation_on;
 use igp_graph::{CsrGraph, IncrementalGraph, NodeId, PartId, Partitioning, INVALID_NODE, NO_PART};
 use igp_lp::LpError;
@@ -324,19 +324,18 @@ fn run_rank<E: Executor>(
         let assign_now = part.assignment().to_vec();
         // Parallel layering: each rank layers owned partitions, then the
         // labels are replicated.
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); p];
-        for (v, &q) in assign_now.iter().enumerate() {
-            members[q as usize].push(v as NodeId);
-        }
         ctx.charge(g.num_vertices() as u64 / w as u64);
-        let mut labels_mine: Vec<(NodeId, PartId, u32)> = Vec::new();
+        let mine = layer_owned(g, &assign_now, p, owns);
         for q in 0..p {
             if owns(q as PartId) {
-                let (labels, work) = layer_one(g, &assign_now, q as PartId, &members[q]);
-                ctx.charge(work);
-                labels_mine.extend(labels);
+                ctx.charge(mine.part_work[q]);
             }
         }
+        let labels_mine: Vec<(NodeId, PartId, u32)> = g
+            .vertices()
+            .filter(|&v| owns(assign_now[v as usize]))
+            .map(|v| (v, mine.tag[v as usize], mine.level[v as usize]))
+            .collect();
         let all_labels: Vec<Vec<(NodeId, PartId, u32)>> = ctx.allgather(labels_mine, 3);
         let mut tag = vec![NO_PART; g.num_vertices()];
         let mut level = vec![u32::MAX; g.num_vertices()];

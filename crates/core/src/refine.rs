@@ -17,7 +17,6 @@
 
 use crate::balance::{arcs_of, solve_paper_lp, LpAccounting};
 use crate::config::{BalanceSolver, IgpConfig};
-use igp_graph::metrics::CutMetrics;
 use igp_graph::{CsrGraph, NodeId, PartId, Partitioning};
 use igp_lp::flow;
 use igp_runtime::{Executor, Solo};
@@ -97,7 +96,11 @@ pub fn solve_circulation_on<E: Executor>(
 }
 
 /// Collect per-pair candidate lists. `strict` selects `gain > 0` instead
-/// of `gain ≥ 0`. Each vertex lands in its best pair only.
+/// of `gain ≥ 0`. Each vertex lands in its best pair only. Only boundary
+/// vertices can have a foreign partition to move to, so interior vertices
+/// are skipped on the maintained boundary flag; the rest are visited in
+/// ascending id, which fixes both the pair order and the order within a
+/// pair.
 fn collect_candidates(
     g: &CsrGraph,
     part: &Partitioning,
@@ -111,7 +114,7 @@ fn collect_candidates(
     // Reusable per-vertex accumulation over adjacent partitions.
     let mut acc: Vec<i64> = vec![0; p];
     let mut touched: Vec<PartId> = Vec::new();
-    for v in g.vertices() {
+    for v in g.vertices().filter(|&v| part.is_boundary(g, v)) {
         let i = part.part_of(v);
         let mut internal: i64 = 0;
         touched.clear();
@@ -173,7 +176,7 @@ pub fn refine(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineO
 /// FM-engine wrapper (ablation E8): greedy boundary passes with a balance
 /// slack, reported through the same [`RefineOutcome`] shape.
 fn refine_fm(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig, slack: u32) -> RefineOutcome {
-    let cut_before = CutMetrics::compute(g, part).total_cut_edges;
+    let cut_before = part.cut_edges();
     let fm = igp_graph::fm::fm_refine(
         g,
         part,
@@ -183,7 +186,7 @@ fn refine_fm(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig, slack: u32)
             strict_gain: true,
         },
     );
-    let cut_after = CutMetrics::compute(g, part).total_cut_edges;
+    let cut_after = part.cut_edges();
     RefineOutcome {
         iters: vec![RefineIterReport {
             moved: fm.moved,
@@ -200,7 +203,7 @@ fn refine_fm(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig, slack: u32)
 /// The paper's iterative LP-circulation refinement.
 fn refine_lp(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineOutcome {
     let mut out = RefineOutcome::default();
-    let mut cut_before = CutMetrics::compute(g, part).total_cut_edges;
+    let mut cut_before = part.cut_edges();
     for it in 0..cfg.refine.max_iters {
         let strict = it >= cfg.refine.strict_after;
         let (pairs, table, scan_work) = collect_candidates(g, part, strict);
@@ -228,21 +231,22 @@ fn refine_lp(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineOu
                 });
                 break;
             }
-            // Apply (recording undo information).
+            // Apply (recording undo information). The maintained cut is
+            // exact, so the rollback test below sees what a recount would.
             let mut undo: Vec<(NodeId, PartId)> = Vec::new();
             for (k, &(i, j)) in pairs.iter().enumerate() {
                 let want = l[k].max(0) as usize;
                 for c in table[k].iter().take(want) {
                     undo.push((c.v, i));
                     part.move_vertex(g, c.v, j);
+                    out.work += g.degree(c.v) as u64;
                 }
             }
-            out.work += undo.len() as u64;
-            let cut_after = CutMetrics::compute(g, part).total_cut_edges;
-            out.work += g.num_edges() as u64;
+            let cut_after = part.cut_edges();
             if cut_after > cut_before {
                 for &(v, back) in undo.iter().rev() {
                     part.move_vertex(g, v, back);
+                    out.work += g.degree(v) as u64;
                 }
                 rolled_back_final = true;
                 for (c, &lv) in caps.iter_mut().zip(&l) {
@@ -290,6 +294,7 @@ fn refine_lp(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineOu
 mod tests {
     use super::*;
     use igp_graph::generators;
+    use igp_graph::metrics::CutMetrics;
 
     fn cfg(p: usize) -> IgpConfig {
         IgpConfig::new(p)

@@ -13,7 +13,6 @@ use crate::config::IgpConfig;
 use crate::parallel::ParallelPartitioner;
 use crate::partitioner::IncrementalPartitioner;
 use igp_graph::coalesce::{CoalesceError, DeltaCoalescer};
-use igp_graph::metrics::CutMetrics;
 use igp_graph::{CsrGraph, GraphDelta, IncrementalGraph, NodeId, Partitioning, INVALID_NODE};
 use igp_runtime::CostModel;
 
@@ -177,11 +176,12 @@ pub struct SessionSeed {
 }
 
 impl IgpSession {
-    /// Start a session from an initial graph and partitioning (typically
-    /// produced by RSB). `refined` selects IGPR vs IGP.
+    /// Start a session from an initial graph and a partitioning built on
+    /// it (typically by RSB). `refined` selects IGPR vs IGP.
     pub fn new(graph: CsrGraph, part: Partitioning, cfg: IgpConfig, refined: bool) -> Self {
         assert_eq!(graph.num_vertices(), part.num_vertices());
         assert_eq!(part.num_parts(), cfg.num_parts);
+        debug_assert_eq!(part.validate(&graph), Ok(()), "`part` was built on `graph`");
         let partitioner = if refined {
             IncrementalPartitioner::igpr(cfg)
         } else {
@@ -214,6 +214,7 @@ impl IgpSession {
     ) -> Self {
         assert_eq!(graph.num_vertices(), part.num_vertices());
         assert_eq!(part.num_parts(), cfg.num_parts);
+        debug_assert_eq!(part.validate(&graph), Ok(()), "`part` was built on `graph`");
         let partitioner = ParallelPartitioner::new(cfg, workers, refined, CostModel::cm5());
         let base = (0..graph.num_vertices() as NodeId).collect();
         IgpSession {
@@ -329,9 +330,17 @@ impl IgpSession {
     }
 
     /// Apply an edit list to the current graph and repartition.
+    ///
+    /// The session's graph becomes the increment's old side and the
+    /// increment's new side becomes the session's graph: neither is
+    /// copied. Panics if deltas are queued, or (inside
+    /// [`GraphDelta::apply_owned`]) if `delta` is malformed against the
+    /// current graph; a session that panicked mid-step is not usable
+    /// afterwards — validate first ([`IgpSession::queue_delta`] does).
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> StepSummary {
-        let inc = delta.apply(&self.graph);
-        self.apply_increment(inc)
+        self.assert_nothing_queued();
+        let inc = delta.apply_owned(std::mem::replace(&mut self.graph, CsrGraph::empty()));
+        self.step(inc)
     }
 
     /// Queue a delta without repartitioning yet.
@@ -420,24 +429,30 @@ impl IgpSession {
     /// Panics if deltas are queued (they address a virtual graph ahead
     /// of `inc.old()`): flush or drop the queue first.
     pub fn apply_increment(&mut self, inc: IncrementalGraph) -> StepSummary {
-        assert_eq!(
-            self.pending_deltas(),
-            0,
-            "apply_increment with queued deltas pending; flush() first"
-        );
+        self.assert_nothing_queued();
         assert_eq!(
             inc.old().num_vertices(),
             self.graph.num_vertices(),
             "increment does not start from the session's current graph"
         );
+        self.step(inc)
+    }
+
+    fn assert_nothing_queued(&self) {
+        assert_eq!(
+            self.pending_deltas(),
+            0,
+            "apply_increment with queued deltas pending; flush() first"
+        );
+    }
+
+    /// Repartition `inc` from the current partitioning and make its new
+    /// side the session's state. Everything read here besides the
+    /// repartition itself is O(1) or O(n): the cut before and after come
+    /// from the partitionings' maintained counters.
+    fn step(&mut self, inc: IncrementalGraph) -> StepSummary {
         let m = crate::obs::metrics();
-        // Cut-before costs an extra O(n+m) pass over the old graph;
-        // only pay it when recording is on. Timing and counting never
-        // touch the repartition inputs, so results stay bit-identical.
-        if igp_obs::enabled() {
-            let before = CutMetrics::compute(inc.old(), &self.part);
-            m.edge_cut_before.set(before.total_cut_edges as i64);
-        }
+        m.edge_cut_before.set(self.part.cut_edges() as i64);
         let (rep_us, reps) = match self.driver.obs_kind() {
             DriverKind::Sequential => (&m.repartition_us_seq, &m.repartitions_total_seq),
             DriverKind::Parallel => (&m.repartition_us_par, &m.repartitions_total_par),
@@ -450,19 +465,24 @@ impl IgpSession {
         if !balanced {
             m.scratch_signals_total.inc();
         }
-        let summary = self.summarize(&inc, &new_part, moved, stages, balanced);
+        let summary = StepSummary {
+            step: self.prior_steps + self.history.len(),
+            num_vertices: new_part.num_vertices(),
+            cut: new_part.cut_edges(),
+            imbalance: new_part.count_imbalance(),
+            moved,
+            stages,
+            balanced,
+        };
         m.edge_cut_after.set(summary.cut as i64);
         // Compose the step's identity map into the birth-relative map.
-        let n_new = inc.new_graph().num_vertices();
-        let mut base = vec![INVALID_NODE; n_new];
-        for (v, slot) in base.iter_mut().enumerate() {
-            let old = inc.old_of_new(v as NodeId);
-            if old != INVALID_NODE {
-                *slot = self.base_of_current[old as usize];
-            }
-        }
-        self.base_of_current = base;
-        self.graph = inc.new_graph().clone();
+        self.base_of_current = (0..new_part.num_vertices() as NodeId)
+            .map(|v| match inc.old_of_new(v) {
+                INVALID_NODE => INVALID_NODE,
+                old => self.base_of_current[old as usize],
+            })
+            .collect();
+        self.graph = inc.into_new_graph();
         self.part = new_part;
         self.needs_scratch |= !summary.balanced;
         self.history.push(summary.clone());
@@ -470,31 +490,17 @@ impl IgpSession {
     }
 
     /// Replace the partitioning (e.g. after an out-of-band from-scratch
-    /// RSB run); clears the from-scratch flag.
+    /// RSB run); clears the from-scratch flag. Only `part`'s assignment
+    /// is taken: the cut and boundary state is recounted over the
+    /// session's own graph, whichever graph `part` was built on.
     pub fn reset_partitioning(&mut self, part: Partitioning) {
         assert_eq!(part.num_vertices(), self.graph.num_vertices());
-        self.part = part;
+        self.part = Partitioning::from_assignment(
+            &self.graph,
+            part.num_parts(),
+            part.assignment().to_vec(),
+        );
         self.needs_scratch = false;
-    }
-
-    fn summarize(
-        &self,
-        inc: &IncrementalGraph,
-        part: &Partitioning,
-        moved: u64,
-        stages: usize,
-        balanced: bool,
-    ) -> StepSummary {
-        let m = CutMetrics::compute(inc.new_graph(), part);
-        StepSummary {
-            step: self.prior_steps + self.history.len(),
-            num_vertices: inc.new_graph().num_vertices(),
-            cut: m.total_cut_edges,
-            imbalance: m.count_imbalance,
-            moved,
-            stages,
-            balanced,
-        }
     }
 
     /// Total vertices moved across the whole session lifetime (the cost

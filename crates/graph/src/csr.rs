@@ -35,6 +35,24 @@ impl CsrGraph {
         }
     }
 
+    /// Assemble from finished CSR arrays. The caller vouches for every
+    /// invariant in the type's docs (checked in debug builds).
+    pub(crate) fn from_raw_parts(
+        xadj: Vec<u32>,
+        adj: Vec<NodeId>,
+        ewgt: Vec<Weight>,
+        vwgt: Vec<Weight>,
+    ) -> Self {
+        let g = CsrGraph {
+            xadj,
+            adj,
+            ewgt,
+            vwgt,
+        };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
     /// Build from an undirected edge list with unit vertex and edge weights.
     ///
     /// Duplicate edges and self-loops are rejected with a panic — callers
@@ -161,6 +179,12 @@ impl CsrGraph {
     #[inline]
     pub fn adjacency(&self) -> &[NodeId] {
         &self.adj
+    }
+
+    /// Raw edge-weight array, aligned with [`CsrGraph::adjacency`].
+    #[inline]
+    pub(crate) fn edge_weight_array(&self) -> &[Weight] {
+        &self.ewgt
     }
 
     /// Extract the vertex-induced subgraph on `keep` (which must be sorted,

@@ -7,7 +7,7 @@
 //! identity map tying surviving vertices together. [`GraphDelta`] is the
 //! edit-list form, convertible in both directions.
 
-use crate::csr::{CsrBuilder, CsrGraph};
+use crate::csr::CsrGraph;
 use crate::{NodeId, Weight, INVALID_NODE};
 
 /// Why a [`GraphDelta`] is malformed with respect to a graph of `n_old`
@@ -183,37 +183,66 @@ impl GraphDelta {
     }
 
     /// Apply the delta to `old`, producing the incremental-graph pair.
+    ///
+    /// Panics on a delta that is malformed against `old` (see
+    /// [`GraphDelta::validate`] for the typed form of everything that can
+    /// be checked without the graph).
     pub fn apply(&self, old: &CsrGraph) -> IncrementalGraph {
+        let (new, old_of_new) = self.merge_rows(old);
+        IncrementalGraph::new(old.clone(), new, old_of_new)
+    }
+
+    /// [`GraphDelta::apply`] for a caller that gives its graph up: `old`
+    /// becomes the pair's old side without being copied. Take the new
+    /// graph back out with [`IncrementalGraph::into_new_graph`].
+    pub fn apply_owned(&self, old: CsrGraph) -> IncrementalGraph {
+        let (new, old_of_new) = self.merge_rows(&old);
+        IncrementalGraph::new(old, new, old_of_new)
+    }
+
+    /// The new graph and its `old_of_new` map, by merging rows.
+    ///
+    /// Id compaction is monotone, so a surviving row stays sorted under
+    /// the renaming: each row of the new CSR is the old row minus removed
+    /// endpoints and killed edges, merged with the (sorted) additions
+    /// that name it. Only the rows an edit names are merged entry by
+    /// entry; when no vertex is removed every run of rows between them
+    /// is one slice copy.
+    fn merge_rows(&self, old: &CsrGraph) -> (CsrGraph, Vec<NodeId>) {
         let n_old = old.num_vertices();
         let n_ext = n_old + self.add_vertices.len();
-        // Extended-id space: old ids ∪ added ids; mark removals.
-        let mut removed = vec![false; n_ext];
-        for &v in &self.remove_vertices {
-            assert!((v as usize) < n_old, "remove_vertices id out of range");
-            assert!(!removed[v as usize], "vertex {v} removed twice");
-            removed[v as usize] = true;
-        }
-        // Compact to new ids.
-        let mut new_of_ext = vec![INVALID_NODE; n_ext];
-        let mut next: NodeId = 0;
-        for (i, slot) in new_of_ext.iter_mut().enumerate() {
-            if !removed[i] {
+        // New id of every extended id (old ids ∪ added ids), with
+        // `INVALID_NODE` for the removed. Stays empty when no vertex is
+        // removed: nothing is gone and ids keep their names.
+        let mut new_of_ext: Vec<NodeId> = Vec::new();
+        if !self.remove_vertices.is_empty() {
+            new_of_ext = vec![0; n_ext];
+            for &v in &self.remove_vertices {
+                assert!((v as usize) < n_old, "remove_vertices id out of range");
+                assert!(
+                    new_of_ext[v as usize] != INVALID_NODE,
+                    "vertex {v} removed twice"
+                );
+                new_of_ext[v as usize] = INVALID_NODE;
+            }
+            let survivors = new_of_ext.iter_mut().filter(|s| **s != INVALID_NODE);
+            for (next, slot) in (0..).zip(survivors) {
                 *slot = next;
-                next += 1;
             }
         }
-        let n_new = next as usize;
-        let mut b = CsrBuilder::new(n_new);
-        // Vertex weights.
-        for v in 0..n_old {
-            if !removed[v] {
-                b.set_vertex_weight(new_of_ext[v], old.vertex_weight(v as NodeId));
+        let compacting = !new_of_ext.is_empty();
+        let renamed = |v: NodeId| {
+            if compacting {
+                new_of_ext[v as usize]
+            } else {
+                v
             }
-        }
-        for (i, &w) in self.add_vertices.iter().enumerate() {
-            b.set_vertex_weight(new_of_ext[n_old + i], w);
-        }
-        // Surviving old edges minus explicit removals.
+        };
+        let gone = |v: NodeId| compacting && new_of_ext[v as usize] == INVALID_NODE;
+        let n_surv = n_old - self.remove_vertices.len();
+        let n_new = n_ext - self.remove_vertices.len();
+
+        // Explicit removals: each must name an edge of `old`.
         let mut kill: Vec<(NodeId, NodeId)> = self
             .remove_edges
             .iter()
@@ -226,40 +255,135 @@ impl GraphDelta {
             self.remove_edges.len(),
             "duplicate edge removal"
         );
-        for (u, v, w) in old.undirected_edges() {
-            if removed[u as usize] || removed[v as usize] {
-                continue;
-            }
-            if kill.binary_search(&(u, v)).is_ok() {
-                continue;
-            }
-            b.add_edge(new_of_ext[u as usize], new_of_ext[v as usize], w);
-        }
-        for &e in &kill {
+        for &(u, v) in &kill {
             assert!(
-                old.has_edge(e.0, e.1),
-                "remove_edges names a non-existent edge {{{},{}}}",
-                e.0,
-                e.1
+                (v as usize) < n_old && old.has_edge(u, v),
+                "remove_edges names a non-existent edge {{{u},{v}}}"
             );
         }
-        // Added edges.
+        // As directed (row, col) pairs in old ids, row-major. An edge that
+        // dies with an endpoint needs no kill of its own.
+        let mut kills: Vec<(NodeId, NodeId)> = kill
+            .iter()
+            .filter(|&&(u, v)| !gone(u) && !gone(v))
+            .flat_map(|&(u, v)| [(u, v), (v, u)])
+            .collect();
+        kills.sort_unstable();
+
+        // Additions as directed (row, col, weight) triples in new ids,
+        // row-major.
+        let mut adds: Vec<(NodeId, NodeId, Weight)> = Vec::with_capacity(2 * self.add_edges.len());
         for &(u, v, w) in &self.add_edges {
-            let (nu, nv) = (new_of_ext[u as usize], new_of_ext[v as usize]);
             assert!(
-                nu != INVALID_NODE && nv != INVALID_NODE,
-                "added edge touches removed vertex"
+                (u as usize) < n_ext && (v as usize) < n_ext,
+                "added edge ({u},{v}) out of range"
             );
-            b.add_edge(nu, nv, w);
+            assert!(!gone(u) && !gone(v), "added edge touches removed vertex");
+            let (nu, nv) = (renamed(u), renamed(v));
+            assert!(nu != nv, "self loop {nu}");
+            adds.push((nu, nv, w));
+            adds.push((nv, nu, w));
         }
-        let new = b.build();
-        let mut old_of_new = vec![INVALID_NODE; n_new];
-        for v in 0..n_old {
-            if new_of_ext[v] != INVALID_NODE {
-                old_of_new[new_of_ext[v] as usize] = v as NodeId;
+        adds.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        for w in adds.windows(2) {
+            assert!(
+                (w[0].0, w[0].1) != (w[1].0, w[1].1),
+                "duplicate edge {{{},{}}}",
+                w[0].0,
+                w[0].1
+            );
+        }
+
+        let mut old_of_new: Vec<NodeId> = (0..n_old as NodeId).filter(|&v| !gone(v)).collect();
+        old_of_new.resize(n_new, INVALID_NODE);
+
+        let (xadj_o, adj_o, ewgt_o) = (old.xadj(), old.adjacency(), old.edge_weight_array());
+        let mut xadj: Vec<u32> = Vec::with_capacity(n_new + 1);
+        xadj.push(0);
+        let mut adj: Vec<NodeId> = Vec::with_capacity(adj_o.len() + adds.len());
+        let mut ewgt: Vec<Weight> = Vec::with_capacity(adj_o.len() + adds.len());
+        let (mut kp, mut ap) = (0usize, 0usize);
+        // Append the additions from `adds[*ap]` on for which `wanted` holds.
+        fn take_adds(
+            adds: &[(NodeId, NodeId, Weight)],
+            ap: &mut usize,
+            (adj, ewgt): (&mut Vec<NodeId>, &mut Vec<Weight>),
+            wanted: impl Fn(&(NodeId, NodeId, Weight)) -> bool,
+        ) {
+            while let Some(&(_, c, w)) = adds.get(*ap).filter(|a| wanted(a)) {
+                adj.push(c);
+                ewgt.push(w);
+                *ap += 1;
             }
         }
-        IncrementalGraph::new(old.clone(), new, old_of_new)
+        let mut row = 0usize;
+        while row < n_old {
+            if !compacting {
+                // The next row an edit names; the untouched rows before
+                // it keep their contents, only their offsets shift.
+                let next_kill = kills.get(kp).map_or(n_old, |k| k.0 as usize);
+                let next_add = adds.get(ap).map_or(n_old, |a| (a.0 as usize).min(n_old));
+                let touched = next_kill.min(next_add);
+                if touched > row {
+                    let (lo, hi) = (xadj_o[row] as usize, xadj_o[touched] as usize);
+                    let shift = adj.len() as i64 - lo as i64;
+                    adj.extend_from_slice(&adj_o[lo..hi]);
+                    ewgt.extend_from_slice(&ewgt_o[lo..hi]);
+                    xadj.extend(
+                        xadj_o[row + 1..=touched]
+                            .iter()
+                            .map(|&x| (x as i64 + shift) as u32),
+                    );
+                    row = touched;
+                    continue;
+                }
+            } else if gone(row as NodeId) {
+                row += 1;
+                continue;
+            }
+            let row_new = renamed(row as NodeId);
+            for at in xadj_o[row] as usize..xadj_o[row + 1] as usize {
+                let col_old = adj_o[at];
+                if kills.get(kp) == Some(&(row as NodeId, col_old)) {
+                    kp += 1;
+                    continue;
+                }
+                if gone(col_old) {
+                    continue;
+                }
+                let col = renamed(col_old);
+                take_adds(&adds, &mut ap, (&mut adj, &mut ewgt), |a| {
+                    a.0 == row_new && a.1 < col
+                });
+                assert!(
+                    adds.get(ap).is_none_or(|a| (a.0, a.1) != (row_new, col)),
+                    "duplicate edge {{{row_new},{col}}}"
+                );
+                adj.push(col);
+                ewgt.push(ewgt_o[at]);
+            }
+            take_adds(&adds, &mut ap, (&mut adj, &mut ewgt), |a| a.0 == row_new);
+            xadj.push(adj.len() as u32);
+            row += 1;
+        }
+        // Rows of the added vertices: additions only.
+        for row_new in n_surv..n_new {
+            take_adds(&adds, &mut ap, (&mut adj, &mut ewgt), |a| {
+                a.0 as usize == row_new
+            });
+            xadj.push(adj.len() as u32);
+        }
+        debug_assert_eq!((kp, ap), (kills.len(), adds.len()));
+
+        let mut vwgt: Vec<Weight> = old
+            .vertex_weights()
+            .iter()
+            .enumerate()
+            .filter(|&(v, _)| !gone(v as NodeId))
+            .map(|(_, &w)| w)
+            .collect();
+        vwgt.extend_from_slice(&self.add_vertices);
+        (CsrGraph::from_raw_parts(xadj, adj, ewgt, vwgt), old_of_new)
     }
 }
 
@@ -306,28 +430,6 @@ impl IncrementalGraph {
         }
     }
 
-    /// Pair two [`crate::DynGraph::snapshot`] results taken from the same
-    /// evolving graph: slots shared by both snapshots are the survivors.
-    pub fn from_snapshots(
-        old: CsrGraph,
-        old_map: &[NodeId],
-        new: CsrGraph,
-        new_map: &[NodeId],
-    ) -> Self {
-        let mut old_of_new = vec![INVALID_NODE; new.num_vertices()];
-        for (slot, &v_old) in old_map.iter().enumerate() {
-            if v_old == INVALID_NODE {
-                continue;
-            }
-            if let Some(&v_new) = new_map.get(slot) {
-                if v_new != INVALID_NODE {
-                    old_of_new[v_new as usize] = v_old;
-                }
-            }
-        }
-        Self::new(old, new, old_of_new)
-    }
-
     /// The graph before the incremental change.
     #[inline]
     pub fn old(&self) -> &CsrGraph {
@@ -338,6 +440,11 @@ impl IncrementalGraph {
     #[inline]
     pub fn new_graph(&self) -> &CsrGraph {
         &self.new
+    }
+
+    /// Give up the pair, keeping the graph after the change.
+    pub fn into_new_graph(self) -> CsrGraph {
+        self.new
     }
 
     /// Old id of new vertex `v`, or [`INVALID_NODE`] if `v` was added.
@@ -506,25 +613,6 @@ mod tests {
             ..Default::default()
         };
         delta.apply(&path5());
-    }
-
-    #[test]
-    fn from_snapshots_identity() {
-        use crate::dyn_graph::DynGraph;
-        let mut dg = DynGraph::with_vertices(3);
-        dg.add_edge(0, 1, 1);
-        let (old, old_map) = dg.snapshot();
-        dg.add_vertex(1);
-        dg.add_edge(2, 3, 1);
-        dg.remove_vertex(1);
-        let (new, new_map) = dg.snapshot();
-        let inc = IncrementalGraph::from_snapshots(old, &old_map, new, &new_map);
-        // Survivors: slots 0 and 2. Slot 1 deleted, slot 3 added.
-        assert_eq!(inc.num_survivors(), 2);
-        assert_eq!(inc.removed_vertices(), vec![1]);
-        assert_eq!(inc.added_vertices().len(), 1);
-        assert_eq!(inc.old_of_new(0), 0); // slot 0
-        assert_eq!(inc.old_of_new(1), 2); // slot 2 was old id 2, new id 1
     }
 
     #[test]

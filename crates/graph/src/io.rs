@@ -335,20 +335,26 @@ impl<'a> BinReader<'a> {
 
 /// Serialize a graph to the compact binary snapshot format.
 pub fn write_graph_bin(g: &CsrGraph) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + g.num_vertices() * 8 + g.num_edges() * 16);
+    let mut out = Vec::new();
+    write_graph_bin_into(&mut out, g);
+    out
+}
+
+/// [`write_graph_bin`], appended to `out` (a snapshot is one buffer).
+pub fn write_graph_bin_into(out: &mut Vec<u8>, g: &CsrGraph) {
+    out.reserve(16 + g.num_vertices() * 8 + g.num_edges() * 16);
     out.extend_from_slice(&GRAPH_MAGIC);
-    put_u32(&mut out, BIN_VERSION);
-    put_u32(&mut out, g.num_vertices() as u32);
-    put_u64(&mut out, g.num_edges() as u64);
+    put_u32(out, BIN_VERSION);
+    put_u32(out, g.num_vertices() as u32);
+    put_u64(out, g.num_edges() as u64);
     for &w in g.vertex_weights() {
-        put_u64(&mut out, w);
+        put_u64(out, w);
     }
     for (u, v, w) in g.undirected_edges() {
-        put_u32(&mut out, u);
-        put_u32(&mut out, v);
-        put_u64(&mut out, w);
+        put_u32(out, u);
+        put_u32(out, v);
+        put_u64(out, w);
     }
-    out
 }
 
 /// Parse a [`write_graph_bin`] payload.
@@ -382,34 +388,40 @@ pub fn read_graph_bin(bytes: &[u8]) -> Result<CsrGraph, ParseError> {
 
 /// Serialize a delta to the compact binary WAL format.
 pub fn write_delta_bin(d: &GraphDelta) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
+    let mut out = Vec::new();
+    write_delta_bin_into(&mut out, d);
+    out
+}
+
+/// [`write_delta_bin`], appended to `out`.
+pub fn write_delta_bin_into(out: &mut Vec<u8>, d: &GraphDelta) {
+    out.reserve(
         24 + d.add_vertices.len() * 8
             + d.remove_vertices.len() * 4
             + d.add_edges.len() * 16
             + d.remove_edges.len() * 8,
     );
     out.extend_from_slice(&DELTA_MAGIC);
-    put_u32(&mut out, BIN_VERSION);
-    put_u32(&mut out, d.add_vertices.len() as u32);
+    put_u32(out, BIN_VERSION);
+    put_u32(out, d.add_vertices.len() as u32);
     for &w in &d.add_vertices {
-        put_u64(&mut out, w);
+        put_u64(out, w);
     }
-    put_u32(&mut out, d.remove_vertices.len() as u32);
+    put_u32(out, d.remove_vertices.len() as u32);
     for &v in &d.remove_vertices {
-        put_u32(&mut out, v);
+        put_u32(out, v);
     }
-    put_u32(&mut out, d.add_edges.len() as u32);
+    put_u32(out, d.add_edges.len() as u32);
     for &(u, v, w) in &d.add_edges {
-        put_u32(&mut out, u);
-        put_u32(&mut out, v);
-        put_u64(&mut out, w);
+        put_u32(out, u);
+        put_u32(out, v);
+        put_u64(out, w);
     }
-    put_u32(&mut out, d.remove_edges.len() as u32);
+    put_u32(out, d.remove_edges.len() as u32);
     for &(u, v) in &d.remove_edges {
-        put_u32(&mut out, u);
-        put_u32(&mut out, v);
+        put_u32(out, u);
+        put_u32(out, v);
     }
-    out
 }
 
 /// Parse a [`write_delta_bin`] payload. Structural validity against a
@@ -444,15 +456,21 @@ pub fn read_delta_bin(bytes: &[u8]) -> Result<GraphDelta, ParseError> {
 
 /// Serialize a partitioning to the compact binary snapshot format.
 pub fn write_partition_bin(p: &Partitioning) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + p.num_vertices() * 4);
-    out.extend_from_slice(&PART_MAGIC);
-    put_u32(&mut out, BIN_VERSION);
-    put_u32(&mut out, p.num_parts() as u32);
-    put_u32(&mut out, p.num_vertices() as u32);
-    for v in 0..p.num_vertices() {
-        put_u32(&mut out, p.part_of(v as NodeId));
-    }
+    let mut out = Vec::new();
+    write_partition_bin_into(&mut out, p);
     out
+}
+
+/// [`write_partition_bin`], appended to `out`.
+pub fn write_partition_bin_into(out: &mut Vec<u8>, p: &Partitioning) {
+    out.reserve(16 + p.num_vertices() * 4);
+    out.extend_from_slice(&PART_MAGIC);
+    put_u32(out, BIN_VERSION);
+    put_u32(out, p.num_parts() as u32);
+    put_u32(out, p.num_vertices() as u32);
+    for &q in p.assignment() {
+        put_u32(out, q);
+    }
 }
 
 /// Parse a [`write_partition_bin`] payload for `graph`, checking the

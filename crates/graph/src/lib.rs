@@ -5,15 +5,14 @@
 //!
 //! * [`CsrGraph`] — an immutable, cache-friendly compressed-sparse-row
 //!   undirected graph with integer vertex and edge weights.
-//! * [`DynGraph`] — a mutable adjacency-list graph supporting incremental
-//!   vertex/edge insertion and deletion, convertible to CSR snapshots.
 //! * [`GraphDelta`] / [`IncrementalGraph`] — the paper's incremental-graph
 //!   model `G'(V ∪ V₁ − V₂, E ∪ E₁ − E₂)` with stable vertex-identity
 //!   mappings between the old and new graphs, typed boundary validation
 //!   ([`GraphDelta::validate`]), and a [`DeltaCoalescer`] folding queued
-//!   delta sequences into one canonical edit list.
-//! * [`Partitioning`] — a `V → P` assignment with maintained partition
-//!   weights, move operations and validation.
+//!   delta sequences into one canonical edit list. [`GraphDelta::apply`]
+//!   is the one way a graph changes: it merges the edit into the CSR rows.
+//! * [`Partitioning`] — a `V → P` assignment with partition loads, cut
+//!   size and boundary maintained under moves, and validation.
 //! * [`metrics`] — cutset statistics exactly as reported in the paper's
 //!   tables (total cut edges, per-partition boundary cost `C(q)` max/min,
 //!   load imbalance, `W(q) + α·C(q)` cost model).
@@ -47,7 +46,6 @@
 pub mod coalesce;
 pub mod csr;
 pub mod delta;
-pub mod dyn_graph;
 pub mod fm;
 pub mod generators;
 pub mod io;
@@ -58,7 +56,6 @@ pub mod traversal;
 pub use coalesce::{coalesce, CoalesceError, DeltaCoalescer, DirtStats};
 pub use csr::{CsrBuilder, CsrGraph};
 pub use delta::{DeltaError, GraphDelta, IncrementalGraph};
-pub use dyn_graph::DynGraph;
 pub use metrics::{CutMetrics, PartitionCosts};
 pub use partition::Partitioning;
 

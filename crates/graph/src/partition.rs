@@ -1,25 +1,38 @@
-//! Partition assignments `M : V → P` with maintained per-partition loads.
+//! Partition assignments `M : V → P` with maintained per-partition loads,
+//! cut size and boundary.
 
 use crate::csr::CsrGraph;
 use crate::{NodeId, PartId, Weight, NO_PART};
 
-/// A total assignment of vertices to `P` partitions, with per-partition
-/// vertex counts and weights maintained incrementally under moves.
+/// A total assignment of the vertices of one graph to `P` partitions,
+/// with per-partition vertex counts and weights, the number of cut edges
+/// and every vertex's foreign-neighbour count maintained incrementally
+/// under moves.
 ///
 /// This is the object the paper's algorithm updates in place: phase 3 moves
 /// `l_ij` vertices from partition `i` to `j`, phase 4 migrates boundary
 /// vertices; both go through [`Partitioning::move_vertex`].
+///
+/// The cut and boundary state belongs to the graph the partitioning was
+/// built on ([`Partitioning::from_assignment`]): every method taking a
+/// `graph` must be handed that same graph. To carry an assignment over to
+/// another graph, rebuild with `from_assignment`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partitioning {
     num_parts: usize,
     assign: Vec<PartId>,
     counts: Vec<u32>,
     weights: Vec<Weight>,
+    /// `foreign[v]` = neighbours of `v` assigned to another partition.
+    foreign: Vec<u32>,
+    /// Edges whose endpoints lie in different partitions, each once.
+    cut_edges: u64,
 }
 
 impl Partitioning {
     /// Wrap an existing assignment vector. Panics if any entry is out of
-    /// range. `graph` supplies the vertex weights.
+    /// range. `graph` supplies the vertex weights and the adjacency the
+    /// cut and boundary state is counted over (one O(n + m) pass).
     pub fn from_assignment(graph: &CsrGraph, num_parts: usize, assign: Vec<PartId>) -> Self {
         assert_eq!(
             assign.len(),
@@ -28,6 +41,8 @@ impl Partitioning {
         );
         let mut counts = vec![0u32; num_parts];
         let mut weights = vec![0 as Weight; num_parts];
+        let mut foreign = vec![0u32; assign.len()];
+        let mut cut_ends = 0u64;
         for (v, &p) in assign.iter().enumerate() {
             assert!(
                 (p as usize) < num_parts,
@@ -35,12 +50,21 @@ impl Partitioning {
             );
             counts[p as usize] += 1;
             weights[p as usize] += graph.vertex_weight(v as NodeId);
+            let f = graph
+                .neighbors(v as NodeId)
+                .iter()
+                .filter(|&&u| assign[u as usize] != p)
+                .count();
+            foreign[v] = f as u32;
+            cut_ends += f as u64;
         }
         Partitioning {
             num_parts,
             assign,
             counts,
             weights,
+            foreign,
+            cut_edges: cut_ends / 2,
         }
     }
 
@@ -106,9 +130,13 @@ impl Partitioning {
         &self.weights
     }
 
-    /// Move vertex `v` to partition `to`, maintaining loads.
+    /// Move vertex `v` to partition `to`, maintaining loads, the cut and
+    /// the foreign-neighbour counts of `v` and its neighbours in O(deg v):
+    /// an edge into `v`'s old partition becomes cut, one into `to` stops
+    /// being cut. `graph` must be the graph this partitioning was built on.
     pub fn move_vertex(&mut self, graph: &CsrGraph, v: NodeId, to: PartId) {
         debug_assert!((to as usize) < self.num_parts);
+        debug_assert_eq!(graph.num_vertices(), self.assign.len());
         let from = self.assign[v as usize];
         if from == to {
             return;
@@ -119,6 +147,25 @@ impl Partitioning {
         self.counts[to as usize] += 1;
         self.weights[to as usize] += w;
         self.assign[v as usize] = to;
+        for &u in graph.neighbors(v) {
+            let q = self.assign[u as usize];
+            if q == from {
+                self.foreign[u as usize] += 1;
+                self.foreign[v as usize] += 1;
+                self.cut_edges += 1;
+            } else if q == to {
+                self.foreign[u as usize] -= 1;
+                self.foreign[v as usize] -= 1;
+                self.cut_edges -= 1;
+            }
+        }
+    }
+
+    /// Number of cut edges (each counted once, unweighted): what
+    /// [`crate::CutMetrics::compute`] recounts as `total_cut_edges`.
+    #[inline]
+    pub fn cut_edges(&self) -> u64 {
+        self.cut_edges
     }
 
     /// Average load `μ̄ = Σ|B(i)| / P` in vertex count.
@@ -170,13 +217,18 @@ impl Partitioning {
         out
     }
 
-    /// True if `v` has a neighbour in a different partition.
+    /// Number of neighbours of `v` in a different partition (O(1): the
+    /// maintained count).
+    #[inline]
+    pub fn foreign_degree(&self, v: NodeId) -> u32 {
+        self.foreign[v as usize]
+    }
+
+    /// True if `v` has a neighbour in a different partition (O(1)).
+    #[inline]
     pub fn is_boundary(&self, graph: &CsrGraph, v: NodeId) -> bool {
-        let p = self.assign[v as usize];
-        graph
-            .neighbors(v)
-            .iter()
-            .any(|&u| self.assign[u as usize] != p)
+        debug_assert_eq!(graph.num_vertices(), self.assign.len());
+        self.foreign[v as usize] > 0
     }
 
     /// All boundary vertices, ascending.
@@ -208,25 +260,33 @@ impl Partitioning {
             .collect()
     }
 
-    /// Check internal consistency (counts/weights match assignment).
+    /// Check internal consistency: counts, weights, cut and
+    /// foreign-neighbour counts all match a from-scratch recount of the
+    /// assignment over `graph`.
     pub fn validate(&self, graph: &CsrGraph) -> Result<(), String> {
         if self.assign.len() != graph.num_vertices() {
             return Err("assignment length mismatch".into());
         }
-        let mut counts = vec![0u32; self.num_parts];
-        let mut weights = vec![0 as Weight; self.num_parts];
-        for (v, &p) in self.assign.iter().enumerate() {
-            if p as usize >= self.num_parts {
-                return Err(format!("vertex {v} in invalid part {p}"));
-            }
-            counts[p as usize] += 1;
-            weights[p as usize] += graph.vertex_weight(v as NodeId);
+        if let Some((v, &p)) = self
+            .assign
+            .iter()
+            .enumerate()
+            .find(|&(_, &p)| p as usize >= self.num_parts)
+        {
+            return Err(format!("vertex {v} in invalid part {p}"));
         }
-        if counts != self.counts {
+        let fresh = Self::from_assignment(graph, self.num_parts, self.assign.clone());
+        if fresh.counts != self.counts {
             return Err("cached counts stale".into());
         }
-        if weights != self.weights {
+        if fresh.weights != self.weights {
             return Err("cached weights stale".into());
+        }
+        if fresh.foreign != self.foreign {
+            return Err("cached foreign-neighbour counts stale".into());
+        }
+        if fresh.cut_edges != self.cut_edges {
+            return Err("cached cut stale".into());
         }
         Ok(())
     }
@@ -275,6 +335,26 @@ mod tests {
         // Moving to the same partition is a no-op.
         p.move_vertex(&g, 2, 1);
         assert_eq!(p.count(1), 4);
+    }
+
+    #[test]
+    fn cut_and_boundary_maintained_by_moves() {
+        let g = cycle6();
+        let mut p = halves(&g);
+        assert_eq!(p.cut_edges(), 2);
+        // 2 joins part 1: the cut edge {2,3} heals, {1,2} opens.
+        p.move_vertex(&g, 2, 1);
+        assert_eq!(p.cut_edges(), 2);
+        assert_eq!(p.boundary_vertices(&g), vec![0, 1, 2, 5]);
+        // 1 follows: part 0 is the single vertex 0, still two cut edges.
+        p.move_vertex(&g, 1, 1);
+        assert_eq!(p.cut_edges(), 2);
+        assert_eq!(p.boundary_vertices(&g), vec![0, 1, 5]);
+        p.validate(&g).unwrap();
+        // And back again.
+        p.move_vertex(&g, 1, 0);
+        p.move_vertex(&g, 2, 0);
+        assert_eq!(p, halves(&g));
     }
 
     #[test]

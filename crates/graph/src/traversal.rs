@@ -47,6 +47,18 @@ pub fn bfs_distances(graph: &CsrGraph, sources: &[NodeId]) -> Vec<u32> {
 /// This is exactly the paper's phase-1 rule (eq. 7): `M'(v) = M(x)` where
 /// `x` minimizes `d(v, x)` over old vertices.
 pub fn nearest_owner_bfs(graph: &CsrGraph, seeds: &[(NodeId, u32)]) -> (Vec<u32>, Vec<u32>) {
+    nearest_owner_bfs_into(graph, seeds, |_| true)
+}
+
+/// [`nearest_owner_bfs`] that only ever claims vertices for which
+/// `open(v)` holds; everything else is a wall. A vertex's label is the
+/// minimum over its previous-level neighbours, so the result does not
+/// depend on the order seeds or frontiers are visited in.
+pub fn nearest_owner_bfs_into(
+    graph: &CsrGraph,
+    seeds: &[(NodeId, u32)],
+    open: impl Fn(NodeId) -> bool,
+) -> (Vec<u32>, Vec<u32>) {
     let n = graph.num_vertices();
     let mut owner = vec![u32::MAX; n];
     let mut dist = vec![UNREACHABLE; n];
@@ -73,6 +85,9 @@ pub fn nearest_owner_bfs(graph: &CsrGraph, seeds: &[(NodeId, u32)]) -> (Vec<u32>
             for &u in graph.neighbors(v) {
                 let ul = u as usize;
                 if dist[ul] == UNREACHABLE {
+                    if !open(u) {
+                        continue;
+                    }
                     dist[ul] = level;
                     owner[ul] = lab;
                     next.push(u);

@@ -29,7 +29,6 @@ use crate::registry::SessionRegistry;
 use crate::session::{Ingest, ServiceSession, SessionConfig};
 use crate::ServiceError;
 use igp_core::session::StepSummary;
-use igp_graph::metrics::CutMetrics;
 use igp_graph::{io as graph_io, CsrGraph};
 use igp_net::{Events, Interest, Poller, PoolHook, Token, Waker, WorkerPool};
 use igp_obs::health::HealthState;
@@ -1643,15 +1642,16 @@ fn pool_reply(ctx: &Arc<ServerCtx>, job: PoolJob) -> String {
             } else {
                 "primary"
             };
-            let g = s.inner().graph();
-            let m = CutMetrics::compute(g, s.inner().partitioning());
+            // Cut and imbalance are the partitioning's maintained
+            // counters: a read holds the session lock for O(1).
+            let (g, part) = (s.inner().graph(), s.inner().partitioning());
             let mut line = format!(
                 "OK stat sid={sid} role={role} n={} m={} cut={} imbalance={:.6} pending={} \
                  steps={} moved={} scratch={}",
                 g.num_vertices(),
                 g.num_edges(),
-                m.total_cut_edges,
-                m.count_imbalance,
+                part.cut_edges(),
+                part.count_imbalance(),
                 s.inner().pending_deltas(),
                 s.steps(),
                 s.inner().total_moved(),
@@ -1775,12 +1775,12 @@ fn open_session(ctx: &ServerCtx, sid: &str, cfg: SessionConfig, metis_text: &str
         }
     }
     let session = ServiceSession::open(graph, cfg);
-    let g = session.inner().graph();
-    let m = CutMetrics::compute(g, session.inner().partitioning());
+    let (g, part) = (session.inner().graph(), session.inner().partitioning());
     let (n, num_edges) = (g.num_vertices(), g.num_edges());
     let reply = format!(
         "OK open sid={sid} n={n} m={num_edges} parts={parts} cut={} imbalance={:.6}",
-        m.total_cut_edges, m.count_imbalance,
+        part.cut_edges(),
+        part.count_imbalance(),
     );
     let entry = match registry.open(sid, session) {
         Ok(entry) => entry,

@@ -35,7 +35,8 @@ pub struct StoreMetrics {
     pub wal_frames_total: Arc<Counter>,
     /// `igp_store_wal_bytes_total` — frame bytes written (headers incl.).
     pub wal_bytes_total: Arc<Counter>,
-    /// `igp_store_snapshot_us` — snapshot write + WAL rotation.
+    /// `igp_store_snapshot_us` — the ack-path half of a rotation: encode,
+    /// write, rename, new WAL (the fsyncs run behind it).
     pub snapshot_us: Arc<Histogram>,
     /// `igp_store_snapshots_total` — snapshots written.
     pub snapshots_total: Arc<Counter>,
@@ -71,7 +72,7 @@ pub fn metrics() -> &'static StoreMetrics {
             ),
             snapshot_us: r.histogram(
                 "igp_store_snapshot_us",
-                "Snapshot write + WAL rotation duration (microseconds)",
+                "Snapshot encode + write + WAL rotation on the ack path, fsyncs excluded (microseconds)",
                 vec![],
             ),
             snapshots_total: r.counter("igp_store_snapshots_total", "Snapshots written", vec![]),

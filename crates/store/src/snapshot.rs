@@ -22,13 +22,17 @@
 //! vertex ids across the two). Snapshot writes go through a temp file +
 //! fsync + rename + directory fsync, so a crash mid-write leaves the
 //! previous snapshot intact and a completed install cannot be undone
-//! by the directory entry never reaching disk.
+//! by the directory entry never reaching disk. (A rotation renames first
+//! and runs the two fsyncs behind the ack — see [`crate::store`] — which
+//! is safe because the previous pair stays until they are done and a
+//! torn snapshot fails its CRC.)
 
+use crate::store::SessionState;
 use crate::{crc32, StoreError};
 use igp_graph::{io as graph_io, CsrGraph, GraphDelta, NodeId, Partitioning};
 use std::fs::File;
 use std::io::{Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const SNAP_MAGIC: [u8; 4] = *b"IGPS";
 const SNAP_VERSION: u32 = 1;
@@ -60,58 +64,76 @@ pub struct SnapshotData {
     pub compacted_records: u64,
 }
 
-/// Serialize and atomically install a snapshot at `path` (write to
-/// `path.tmp`, fsync, rename).
-pub fn write_snapshot(path: &Path, data: &SnapshotData) -> Result<(), StoreError> {
-    let graph = graph_io::write_graph_bin(&data.graph);
-    let part = graph_io::write_partition_bin(&data.part);
-    let lineage = graph_io::write_delta_bin(&data.lineage);
-    // The block length prefixes are u32; fail the write rather than
-    // wrap silently into a snapshot the reader would call corrupt —
-    // after rotation deleted its only predecessor.
-    for (block, what) in [
-        (&graph, "graph"),
-        (&part, "partition"),
-        (&lineage, "lineage"),
-    ] {
-        if block.len() as u64 > u32::MAX as u64 {
-            return Err(StoreError::Corrupt {
-                what: path.display().to_string(),
-                reason: format!(
-                    "{what} block of {} bytes exceeds the u32 frame bound",
-                    block.len()
-                ),
-            });
-        }
+/// Serialize a snapshot of `state` into one buffer, CRC trailer
+/// included. `path` only names the snapshot in errors.
+pub(crate) fn encode_snapshot(
+    path: &Path,
+    seq: u64,
+    state: &SessionState<'_>,
+    lineage: &GraphDelta,
+    compacted_records: u64,
+) -> Result<Vec<u8>, StoreError> {
+    // Append one length-prefixed block. The prefix is a u32; fail the
+    // write rather than wrap silently into a snapshot the reader would
+    // call corrupt — after rotation deleted its only predecessor.
+    fn block(
+        out: &mut Vec<u8>,
+        path: &Path,
+        what: &str,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), StoreError> {
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        write(out);
+        let len = out.len() - at - 4;
+        let prefix = u32::try_from(len).map_err(|_| StoreError::Corrupt {
+            what: path.display().to_string(),
+            reason: format!("{what} block of {len} bytes exceeds the u32 frame bound"),
+        })?;
+        out[at..at + 4].copy_from_slice(&prefix.to_le_bytes());
+        Ok(())
     }
-    let mut out = Vec::with_capacity(64 + graph.len() + part.len() + lineage.len());
+    let mut out = Vec::new();
     out.extend_from_slice(&SNAP_MAGIC);
     out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-    out.extend_from_slice(&data.seq.to_le_bytes());
-    out.extend_from_slice(&data.steps.to_le_bytes());
-    out.extend_from_slice(&data.total_moved.to_le_bytes());
-    out.extend_from_slice(&data.deltas_received.to_le_bytes());
-    out.push(u8::from(data.needs_scratch));
-    for block in [&graph, &part] {
-        out.extend_from_slice(&(block.len() as u32).to_le_bytes());
-        out.extend_from_slice(block);
-    }
-    out.extend_from_slice(&(data.base_of_current.len() as u32).to_le_bytes());
-    for &b in &data.base_of_current {
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&state.steps.to_le_bytes());
+    out.extend_from_slice(&state.total_moved.to_le_bytes());
+    out.extend_from_slice(&state.deltas_received.to_le_bytes());
+    out.push(u8::from(state.needs_scratch));
+    block(&mut out, path, "graph", |o| {
+        graph_io::write_graph_bin_into(o, state.graph)
+    })?;
+    block(&mut out, path, "partition", |o| {
+        graph_io::write_partition_bin_into(o, state.part)
+    })?;
+    out.extend_from_slice(&(state.base_of_current.len() as u32).to_le_bytes());
+    for &b in state.base_of_current {
         out.extend_from_slice(&b.to_le_bytes());
     }
-    out.extend_from_slice(&(lineage.len() as u32).to_le_bytes());
-    out.extend_from_slice(&lineage);
-    out.extend_from_slice(&data.compacted_records.to_le_bytes());
+    block(&mut out, path, "lineage", |o| {
+        graph_io::write_delta_bin_into(o, lineage)
+    })?;
+    out.extend_from_slice(&compacted_records.to_le_bytes());
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
+    Ok(out)
+}
 
+/// Write `bytes` to `path.tmp` and hand back the open file and its
+/// path. Nothing is synced: the caller decides when, and renames.
+pub(crate) fn write_tmp(path: &Path, bytes: &[u8]) -> Result<(File, PathBuf), StoreError> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&out)?;
-        f.sync_data()?;
-    }
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    Ok((f, tmp))
+}
+
+/// Atomically and durably install encoded snapshot `bytes` at `path`:
+/// write to `path.tmp`, fsync, rename, fsync the directory.
+pub(crate) fn install_synced(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let (f, tmp) = write_tmp(path, bytes)?;
+    f.sync_data()?;
     std::fs::rename(&tmp, path)?;
     // The rename is durable only once the directory entry is: without
     // this, a crash can resurrect the pre-rotation state even though
@@ -120,6 +142,28 @@ pub fn write_snapshot(path: &Path, data: &SnapshotData) -> Result<(), StoreError
         fsync_dir(dir)?;
     }
     Ok(())
+}
+
+/// Serialize and atomically install a snapshot at `path` (write to
+/// `path.tmp`, fsync, rename, fsync the directory).
+pub fn write_snapshot(path: &Path, data: &SnapshotData) -> Result<(), StoreError> {
+    let state = SessionState {
+        graph: &data.graph,
+        part: &data.part,
+        base_of_current: &data.base_of_current,
+        steps: data.steps,
+        total_moved: data.total_moved,
+        deltas_received: data.deltas_received,
+        needs_scratch: data.needs_scratch,
+    };
+    let bytes = encode_snapshot(
+        path,
+        data.seq,
+        &state,
+        &data.lineage,
+        data.compacted_records,
+    )?;
+    install_synced(path, &bytes)
 }
 
 /// Fsync a directory so metadata operations inside it (create, rename,

@@ -8,20 +8,29 @@
 //! ```
 //!
 //! Rotation protocol (crash-safe at every step): write
-//! `snap-<seq+1>.tmp` → fsync → rename to `.snap` → create
-//! `wal-<seq+1>.log` → delete the previous pair. Recovery picks the
-//! highest *valid* snapshot, ignores stale files from interrupted
-//! rotations, and replays whatever WAL tail it finds (an absent tail
-//! file — crash between rename and WAL creation — is an empty tail).
+//! `snap-<seq+1>.tmp` → rename to `.snap` → create `wal-<seq+1>.log` →
+//! fsync the snapshot → fsync the directory → delete the previous pair.
+//! The ack waits for the first three steps, which only touch the page
+//! cache; the two fsyncs and the deletion run on a background thread
+//! ([`SessionStore::snapshot_now`]). Recovery picks the highest *valid*
+//! snapshot — a renamed snapshot that never reached the disk fails its
+//! CRC and the previous pair, not yet deleted, takes over — ignores stale
+//! files from interrupted rotations, and replays whatever WAL tail it
+//! finds (an absent tail file — crash between rename and WAL creation —
+//! is an empty tail).
 
 use crate::policy::{SnapshotPolicy, SnapshotView};
-use crate::snapshot::{fsync_dir, read_snapshot, write_snapshot, SnapshotData};
+use crate::snapshot::{
+    encode_snapshot, fsync_dir, install_synced, read_snapshot, write_tmp, SnapshotData,
+};
 use crate::wal::{read_wal, WalRecord, WalWriter, HEADER_BYTES};
 use crate::StoreError;
 use igp_graph::coalesce::DeltaCoalescer;
 use igp_graph::{CsrGraph, DirtStats, GraphDelta, NodeId, Partitioning};
+use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
 
 const META_VERSION: u32 = 1;
 
@@ -56,23 +65,6 @@ pub struct SessionState<'a> {
     pub deltas_received: u64,
     /// The from-scratch signal.
     pub needs_scratch: bool,
-}
-
-impl SessionState<'_> {
-    fn to_snapshot(self, seq: u64, lineage: GraphDelta, compacted_records: u64) -> SnapshotData {
-        SnapshotData {
-            seq,
-            steps: self.steps,
-            total_moved: self.total_moved,
-            deltas_received: self.deltas_received,
-            needs_scratch: self.needs_scratch,
-            graph: self.graph.clone(),
-            part: self.part.clone(),
-            base_of_current: self.base_of_current.to_vec(),
-            lineage,
-            compacted_records,
-        }
-    }
 }
 
 /// Everything [`SessionStore::recover`] reconstructs from disk.
@@ -130,6 +122,45 @@ pub struct SessionStore {
     snapshots_written: u64,
     ops_since_snap: u64,
     steps_at_snap: u64,
+    /// The durable half of the latest rotation while it runs behind the
+    /// acks; at most one. Polled by every journaling call, joined by the
+    /// next rotation and by `Drop`.
+    rotation: Option<JoinHandle<Result<(), StoreError>>>,
+}
+
+/// What a rotation still owes the disk once the ack-path half is done:
+/// make the new pair durable, then — only then — retire the old one.
+struct RotationTail {
+    /// The renamed, not yet synced snapshot.
+    snapshot: File,
+    dir: PathBuf,
+    /// Sequence number of the pair to delete.
+    retired: u64,
+}
+
+impl RotationTail {
+    fn run(self) -> Result<(), StoreError> {
+        self.snapshot.sync_data()?;
+        // One directory fsync covers both new entries (the rename and
+        // the new WAL happened before this thread started).
+        fsync_dir(&self.dir)?;
+        // Best-effort cleanup; stale files are ignored by recovery.
+        let _ = std::fs::remove_file(snap_path(&self.dir, self.retired));
+        let _ = std::fs::remove_file(wal_path(&self.dir, self.retired));
+        Ok(())
+    }
+
+    fn spawn(self) -> Result<JoinHandle<Result<(), StoreError>>, StoreError> {
+        Ok(std::thread::Builder::new()
+            .name("igp-store-rotate".into())
+            .spawn(move || {
+                let done = self.run();
+                if done.is_err() {
+                    crate::obs::health_cell().note_failure(crate::obs::STORE_FAIL_HOLD);
+                }
+                done
+            })?)
+    }
 }
 
 fn snap_path(dir: &Path, seq: u64) -> PathBuf {
@@ -258,9 +289,10 @@ impl SessionStore {
         }
         std::fs::create_dir_all(dir)?;
         write_meta(dir, &meta)?;
-        write_snapshot(
-            &snap_path(dir, 0),
-            &state.to_snapshot(0, GraphDelta::default(), 0),
+        let snap = snap_path(dir, 0);
+        install_synced(
+            &snap,
+            &encode_snapshot(&snap, 0, &state, &GraphDelta::default(), 0)?,
         )?;
         let wal = WalWriter::create(&wal_path(dir, 0), 0)?;
         // Make the directory entries of the initial meta/snap/wal trio
@@ -276,13 +308,29 @@ impl SessionStore {
             snapshots_written: 1,
             ops_since_snap: 0,
             steps_at_snap: state.steps,
+            rotation: None,
         })
+    }
+
+    /// Collect the background half of the latest rotation if it is done
+    /// (or, with `wait`, whenever it is), surfacing its error: the store
+    /// is no longer durable and the caller must stop relying on it.
+    fn finish_rotation(&mut self, wait: bool) -> Result<(), StoreError> {
+        match self.rotation.take_if(|h| wait || h.is_finished()) {
+            Some(h) => h.join().unwrap_or_else(|_| {
+                Err(StoreError::Io(std::io::Error::other(
+                    "snapshot rotation thread panicked",
+                )))
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Journal one accepted delta (append to the WAL *and* fold into
     /// the tail compactor). Called after the session accepted the delta
     /// and before the client is acked.
     pub fn journal_delta(&mut self, d: &GraphDelta) -> Result<(), StoreError> {
+        self.finish_rotation(false)?;
         // The session validated this delta against the same virtual
         // graph the compactor mirrors, so a push failure means the
         // store has diverged — surface it, don't panic.
@@ -297,6 +345,7 @@ impl SessionStore {
 
     /// Journal an explicit client-requested flush.
     pub fn journal_flush(&mut self) -> Result<(), StoreError> {
+        self.finish_rotation(false)?;
         self.wal.append(&WalRecord::Flush)?;
         Ok(())
     }
@@ -305,6 +354,7 @@ impl SessionStore {
     /// boundaries, where the session queue is empty); writes and
     /// rotates if it fires. Returns whether a snapshot was written.
     pub fn maybe_snapshot(&mut self, state: SessionState<'_>) -> Result<bool, StoreError> {
+        self.finish_rotation(false)?;
         let view = SnapshotView {
             n_current: state.graph.num_vertices(),
             records_since_snap: self.wal.records(),
@@ -322,41 +372,55 @@ impl SessionStore {
     /// the log. The tail (`compacted_records` frames) is replaced by
     /// its [`DeltaCoalescer::net`] — one canonical delta recorded as
     /// the snapshot's lineage.
+    ///
+    /// Returns once the new pair is written, renamed and created — page
+    /// cache only. The fsyncs, and after them the deletion of the old
+    /// pair, run on a background thread: journal-before-ack is the WAL's
+    /// invariant, and WAL appends are flushed to the OS, not fsynced
+    /// (DESIGN.md §9.2), so no ack promises less for it. Its error
+    /// surfaces from the next call on this store; a previous rotation
+    /// still in flight is waited for first.
     pub fn snapshot_now(&mut self, state: SessionState<'_>) -> Result<(), StoreError> {
         let _sp = igp_obs::trace::Span::ambient("snapshot");
         let m = crate::obs::metrics();
         let cell = crate::obs::health_cell();
         cell.busy();
-        let written = m.snapshot_us.time(|| -> Result<(), StoreError> {
-            let next = self.seq + 1;
-            let lineage = self.co.net();
-            let compacted = self.wal.records();
-            write_snapshot(
-                &snap_path(&self.dir, next),
-                &state.to_snapshot(next, lineage, compacted),
-            )?;
-            self.wal = WalWriter::create(&wal_path(&self.dir, next), next)?;
-            // Persist the new WAL's directory entry before touching the
-            // old pair: only once the (snap, wal) pair at `next` is
-            // fully durable may its predecessor start to disappear.
-            fsync_dir(&self.dir)?;
-            // Best-effort cleanup; stale files are ignored by recovery.
-            let _ = std::fs::remove_file(snap_path(&self.dir, self.seq));
-            let _ = std::fs::remove_file(wal_path(&self.dir, self.seq));
-            self.seq = next;
-            self.snapshots_written += 1;
-            self.co = DeltaCoalescer::new(state.graph.num_vertices());
-            self.ops_since_snap = 0;
-            self.steps_at_snap = state.steps;
+        let started = m.snapshot_us.time(|| -> Result<(), StoreError> {
+            self.finish_rotation(true)?;
+            let tail = self.begin_rotation(state)?;
+            self.rotation = Some(tail.spawn()?);
             Ok(())
         });
         cell.idle();
-        if written.is_err() {
+        if started.is_err() {
             cell.note_failure(crate::obs::STORE_FAIL_HOLD);
         }
-        written?;
+        started?;
         m.snapshots_total.inc();
         Ok(())
+    }
+
+    /// The ack-path half of a rotation: encode from the borrowed state,
+    /// write `snap-<next>.tmp`, rename it, create `wal-<next>.log`. Every
+    /// prefix of these steps is a state recovery already handles.
+    fn begin_rotation(&mut self, state: SessionState<'_>) -> Result<RotationTail, StoreError> {
+        let next = self.seq + 1;
+        let path = snap_path(&self.dir, next);
+        let bytes = encode_snapshot(&path, next, &state, &self.co.net(), self.wal.records())?;
+        let (snapshot, tmp) = write_tmp(&path, &bytes)?;
+        std::fs::rename(&tmp, &path)?;
+        self.wal = WalWriter::create(&wal_path(&self.dir, next), next)?;
+        let tail = RotationTail {
+            snapshot,
+            dir: self.dir.clone(),
+            retired: self.seq,
+        };
+        self.seq = next;
+        self.snapshots_written += 1;
+        self.co = DeltaCoalescer::new(state.graph.num_vertices());
+        self.ops_since_snap = 0;
+        self.steps_at_snap = state.steps;
+        Ok(tail)
     }
 
     /// Recover a session directory: latest valid snapshot + intact WAL
@@ -443,6 +507,7 @@ impl SessionStore {
                 snapshots_written: 0,
                 ops_since_snap: ops,
                 steps_at_snap: snapshot.steps,
+                rotation: None,
             },
             meta,
             snapshot,
@@ -597,6 +662,14 @@ impl SessionStore {
             });
         }
         Ok(bytes[offset as usize..end as usize].to_vec())
+    }
+}
+
+impl Drop for SessionStore {
+    /// Let an in-flight rotation finish (its error has nobody left to go
+    /// to; the thread itself flagged the store's health cell).
+    fn drop(&mut self) {
+        let _ = self.finish_rotation(true);
     }
 }
 
@@ -797,6 +870,38 @@ mod tests {
         assert!(note.contains("snap-9"), "{note}");
         assert!(note.contains("starting empty"), "{note}");
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The ack returns before the fsyncs: if they then fail (here the
+    /// directory vanishes between the two halves of a rotation), the
+    /// error comes back typed, once, from the next call on the store —
+    /// whether that call polls (`journal_delta`) or joins
+    /// (`snapshot_now`).
+    #[test]
+    fn background_rotation_failure_surfaces_on_the_next_call() {
+        for join in [false, true] {
+            let dir = tmp(if join { "bg-join" } else { "bg-poll" });
+            let mut toy = Toy::new();
+            let mut store =
+                SessionStore::create(&dir, meta(), SnapshotPolicy::Never, toy.state()).unwrap();
+            let d = growth(&toy.graph, 1);
+            toy.apply(&d);
+            store.journal_delta(&d).unwrap();
+            let tail = store.begin_rotation(toy.state()).unwrap();
+            assert_eq!(store.seq(), 1, "the ack-path half already rotated");
+            std::fs::remove_dir_all(&dir).unwrap();
+            store.rotation = Some(tail.spawn().unwrap());
+            let err = if join {
+                store.snapshot_now(toy.state()).unwrap_err()
+            } else {
+                while !store.rotation.as_ref().unwrap().is_finished() {
+                    std::thread::yield_now();
+                }
+                store.journal_delta(&growth(&toy.graph, 2)).unwrap_err()
+            };
+            assert!(matches!(err, StoreError::Io(_)), "got: {err}");
+            assert!(store.rotation.is_none(), "reported once");
+        }
     }
 
     #[test]

@@ -109,11 +109,9 @@ fn backends_bit_identical_on_scenario_matrix() {
             ("random-120-p6", old, inc, 6)
         },
     ];
-    // The matrix legs are independent — fan the scenarios out across
-    // cores (the vendored rayon stub chunks the index space; assertion
-    // panics propagate through the worker join).
-    use rayon::prelude::*;
-    scenarios.par_iter().for_each(|(label, old, inc, parts)| {
+    // The matrix legs are independent — one scoped thread per scenario
+    // (an assertion panic propagates when the scope joins).
+    let leg = |(label, old, inc, parts): &(&str, Partitioning, IncrementalGraph, usize)| {
         for workers in [1usize, 2, 3, 4] {
             for refine in [false, true] {
                 let (sim_part, sim_rep) =
@@ -142,6 +140,11 @@ fn backends_bit_identical_on_scenario_matrix() {
                 assert_eq!(shm_rep.sim.total_messages, 0, "{tag}");
                 common::assert_partition_invariants(inc.new_graph(), &shm_part);
             }
+        }
+    };
+    std::thread::scope(|s| {
+        for scenario in &scenarios {
+            s.spawn(|| leg(scenario));
         }
     });
 }

@@ -3,9 +3,12 @@
 
 mod common;
 
+use igp::assign::assign_new_vertices;
 use igp::graph::metrics::CutMetrics;
-use igp::graph::{generators, CsrGraph, PartId, Partitioning};
-use igp::layer::layer_partitions;
+use igp::graph::partition::transfer_assignment;
+use igp::graph::traversal::nearest_owner_bfs;
+use igp::graph::{generators, CsrGraph, NodeId, PartId, Partitioning, NO_PART};
+use igp::layer::{layer_owned, layer_partitions};
 use igp::{CapPolicy, IgpConfig, IncrementalPartitioner};
 use proptest::prelude::*;
 
@@ -19,8 +22,250 @@ fn scenario_strategy() -> impl Strategy<Value = (CsrGraph, Partitioning, u64)> {
     })
 }
 
+/// Layering as it was before the one-sweep kernel: one partition at a
+/// time, a private BFS over that partition's member list with its own
+/// position map and level counter. Kept verbatim as the reference
+/// [`layer_owned`] must reproduce — labels and edge-scan count.
+fn layer_one_partition(
+    g: &CsrGraph,
+    assign: &[PartId],
+    i: PartId,
+    members: &[NodeId],
+) -> (Vec<(NodeId, PartId, u32)>, u64) {
+    let p_sentinel = u32::MAX;
+    let mut work = 0u64;
+    let local_of = {
+        let mut map = vec![u32::MAX; g.num_vertices()];
+        for (k, &v) in members.iter().enumerate() {
+            map[v as usize] = k as u32;
+        }
+        map
+    };
+    let m = members.len();
+    let mut tag = vec![p_sentinel; m];
+    let mut level = vec![u32::MAX; m];
+    let mut counts: Vec<u32> = Vec::new();
+    let mut frontier: Vec<NodeId> = Vec::new();
+    for (k, &v) in members.iter().enumerate() {
+        let mut best: Option<(u32, PartId)> = None;
+        counts.clear();
+        counts.resize(64, 0);
+        let mut touched: Vec<PartId> = Vec::new();
+        for &u in g.neighbors(v) {
+            work += 1;
+            let q = assign[u as usize];
+            if q != i {
+                let qi = q as usize;
+                if qi >= counts.len() {
+                    counts.resize(qi + 1, 0);
+                }
+                if counts[qi] == 0 {
+                    touched.push(q);
+                }
+                counts[qi] += 1;
+            }
+        }
+        for &q in &touched {
+            let c = counts[q as usize];
+            counts[q as usize] = 0;
+            match best {
+                None => best = Some((c, q)),
+                Some((bc, bq)) => {
+                    if c > bc || (c == bc && q < bq) {
+                        best = Some((c, q));
+                    }
+                }
+            }
+        }
+        if let Some((_, q)) = best {
+            tag[k] = q;
+            level[k] = 0;
+            frontier.push(v);
+        }
+    }
+    let mut lvl = 0u32;
+    let mut candidates: Vec<NodeId> = Vec::new();
+    let mut in_candidates = vec![false; m];
+    while !frontier.is_empty() {
+        candidates.clear();
+        for &v in &frontier {
+            for &u in g.neighbors(v) {
+                work += 1;
+                let lu = local_of[u as usize];
+                if lu != u32::MAX && tag[lu as usize] == p_sentinel && !in_candidates[lu as usize] {
+                    in_candidates[lu as usize] = true;
+                    candidates.push(u);
+                }
+            }
+        }
+        frontier.clear();
+        for &v in &candidates {
+            let k = local_of[v as usize] as usize;
+            in_candidates[k] = false;
+            let mut best: Option<(u32, PartId)> = None;
+            let mut touched: Vec<PartId> = Vec::new();
+            for &u in g.neighbors(v) {
+                work += 1;
+                let lu = local_of[u as usize];
+                if lu != u32::MAX && level[lu as usize] == lvl {
+                    let q = tag[lu as usize];
+                    let qi = q as usize;
+                    if qi >= counts.len() {
+                        counts.resize(qi + 1, 0);
+                    }
+                    if counts[qi] == 0 {
+                        touched.push(q);
+                    }
+                    counts[qi] += 1;
+                }
+            }
+            for &q in &touched {
+                let c = counts[q as usize];
+                counts[q as usize] = 0;
+                match best {
+                    None => best = Some((c, q)),
+                    Some((bc, bq)) => {
+                        if c > bc || (c == bc && q < bq) {
+                            best = Some((c, q));
+                        }
+                    }
+                }
+            }
+            let (_, q) = best.expect("candidate must have a levelled neighbour");
+            tag[k] = q;
+            level[k] = lvl + 1;
+            frontier.push(v);
+        }
+        lvl += 1;
+    }
+    let labels = members
+        .iter()
+        .enumerate()
+        .map(|(k, &v)| {
+            let t = if tag[k] == p_sentinel {
+                NO_PART
+            } else {
+                tag[k]
+            };
+            (v, t, level[k])
+        })
+        .collect();
+    (labels, work)
+}
+
 proptest! {
     #![proptest_config(common::tier1_config(48))]
+
+    /// The one-sweep kernel ≡ the per-partition reference on tag, level,
+    /// λ and per-partition work — for every partition at once and for the
+    /// strided ownership of each rank of a 2- and 3-rank SPMD run, on
+    /// slab partitions roughened by random reassignments (disconnected
+    /// partitions, interiors no boundary reaches).
+    #[test]
+    fn one_sweep_layering_equals_per_partition((g, part, seed) in scenario_strategy()) {
+        let (n, p) = (g.num_vertices(), part.num_parts());
+        let mut rng = common::Lcg::new(seed);
+        let mut assign = part.assignment().to_vec();
+        for _ in 0..rng.below(n / 3 + 1) {
+            assign[rng.below(n)] = rng.below(p) as PartId;
+        }
+        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); p];
+        for (v, &q) in assign.iter().enumerate() {
+            members[q as usize].push(v as NodeId);
+        }
+        for (ranks, rank) in [(1usize, 0usize), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)] {
+            let owned = |q: PartId| q as usize % ranks == rank;
+            let mut tag = vec![NO_PART; n];
+            let mut level = vec![u32::MAX; n];
+            let mut lambda = vec![0u64; p * p];
+            let mut work = vec![0u64; p];
+            for q in (0..p).filter(|&q| owned(q as PartId)) {
+                let (labels, w) = layer_one_partition(&g, &assign, q as PartId, &members[q]);
+                work[q] = w;
+                for (v, t, l) in labels {
+                    tag[v as usize] = t;
+                    level[v as usize] = l;
+                    if t != NO_PART {
+                        lambda[q * p + t as usize] += 1;
+                    }
+                }
+            }
+            let lay = if ranks == 1 {
+                layer_partitions(&g, &assign, p)
+            } else {
+                layer_owned(&g, &assign, p, owned)
+            };
+            prop_assert_eq!(&lay.tag, &tag, "tags, rank {}/{}", rank, ranks);
+            prop_assert_eq!(&lay.level, &level, "levels, rank {}/{}", rank, ranks);
+            prop_assert_eq!(&lay.lambda, &lambda, "λ, rank {}/{}", rank, ranks);
+            prop_assert_eq!(&lay.part_work, &work, "work, rank {}/{}", rank, ranks);
+            prop_assert_eq!(lay.work, work.iter().sum::<u64>());
+        }
+    }
+
+    /// Phase 1 seeded only where new vertices touch old ones ≡ the BFS
+    /// from every old vertex it replaced: same owner for each new vertex
+    /// an old one reaches, same `max_dist`, the rest clustered — on
+    /// increments that remove vertices and hang chains and orphan
+    /// clusters of new vertices off the graph.
+    #[test]
+    fn phase1_seeded_bfs_equals_all_sources((g, old, seed) in scenario_strategy()) {
+        let mut rng = common::Lcg::new(seed);
+        let n = g.num_vertices();
+        let remove_vertices: Vec<NodeId> =
+            (1..n as NodeId).filter(|_| rng.below(8) == 0).collect();
+        let alive: Vec<NodeId> =
+            (0..n as NodeId).filter(|v| !remove_vertices.contains(v)).collect();
+        let k = 1 + rng.below(12);
+        let mut add_edges: Vec<(NodeId, NodeId, u64)> = Vec::new();
+        for a in 0..k {
+            let me = (n + a) as NodeId;
+            // Attach to old vertices, to earlier new ones (chains), or to
+            // nothing at all (an orphan cluster of its own).
+            for _ in 0..rng.below(3) {
+                let to = if a > 0 && rng.below(2) == 0 {
+                    (n + rng.below(a)) as NodeId
+                } else {
+                    alive[rng.below(alive.len())]
+                };
+                if !add_edges.iter().any(|&(u, v, _)| (u, v) == (to, me)) {
+                    add_edges.push((to, me, 1));
+                }
+            }
+        }
+        let delta = igp::graph::GraphDelta {
+            add_vertices: vec![1; k],
+            remove_vertices,
+            add_edges,
+            remove_edges: Vec::new(),
+        };
+        let inc = delta.apply(&g);
+        let (assign, report) = assign_new_vertices(&inc, &old);
+
+        let new = inc.new_graph();
+        let carried = transfer_assignment(&inc, &old);
+        let seeds: Vec<(NodeId, u32)> = new
+            .vertices()
+            .filter(|&v| carried[v as usize] != NO_PART)
+            .map(|v| (v, carried[v as usize]))
+            .collect();
+        let (owner, dist) = nearest_owner_bfs(new, &seeds);
+        let (mut max_dist, mut orphans) = (0u32, 0usize);
+        for v in inc.added_vertices() {
+            if owner[v as usize] == u32::MAX {
+                orphans += 1;
+            } else {
+                prop_assert_eq!(assign[v as usize], owner[v as usize], "owner of {}", v);
+                max_dist = max_dist.max(dist[v as usize]);
+            }
+        }
+        prop_assert_eq!(report.new_vertices, k);
+        prop_assert_eq!(report.max_dist, max_dist);
+        prop_assert_eq!(report.clustered, orphans);
+        for v in new.vertices().filter(|&v| !inc.is_added(v)) {
+            prop_assert_eq!(assign[v as usize], carried[v as usize]);
+        }
+    }
 
     /// After IGP: every vertex assigned, totals preserved, counts within
     /// one of the averages, and (strict caps) at most slight deformation.
@@ -74,13 +319,13 @@ proptest! {
         for v in g.vertices() {
             let i = part.part_of(v);
             let t = lay.tag[v as usize];
-            if t != igp::graph::NO_PART {
+            if t != NO_PART {
                 prop_assert_ne!(t, i, "tag must be foreign");
             }
             let boundary = part.is_boundary(&g, v);
             prop_assert_eq!(lay.level[v as usize] == 0, boundary);
         }
-        let tagged = lay.tag.iter().filter(|&&t| t != igp::graph::NO_PART).count() as u64;
+        let tagged = lay.tag.iter().filter(|&&t| t != NO_PART).count() as u64;
         let lambda_sum: u64 = (0..parts).flat_map(|i| (0..parts).map(move |j| (i, j)))
             .map(|(i, j)| lay.lambda(i as PartId, j as PartId)).sum();
         prop_assert_eq!(lambda_sum, tagged);

@@ -262,13 +262,15 @@ fn assemble(tag: &str, files: &[(&Path, &str, &str)]) -> PathBuf {
 }
 
 /// Crash-point sweep over the snapshot-rotation protocol (satellite):
-/// `write snap-(q+1).tmp → fsync → rename → fsync dir → create
-/// wal-(q+1) → fsync dir → delete old pair`. A kill between any two
-/// steps leaves at least one complete `(snapshot, WAL)` lineage on
-/// disk, so recovery from every intermediate state must be
-/// bit-identical to the never-crashed replay. The intermediate states
-/// are reassembled from directory copies taken before and after a real
-/// rotation.
+/// `write snap-(q+1).tmp → rename → create wal-(q+1) → fsync snapshot
+/// → fsync dir → delete old pair` (the ack returns after the third
+/// step; the rest runs behind it). A kill between any two steps leaves
+/// at least one complete `(snapshot, WAL)` lineage on disk, so
+/// recovery from every intermediate state must be bit-identical to the
+/// never-crashed replay — and so must a power cut before the fsyncs,
+/// which may leave the renamed snapshot torn while the old pair is
+/// still there. The intermediate states are reassembled from directory
+/// copies taken before and after a real rotation.
 #[test]
 fn rotation_crash_points_all_recover_bit_identical() {
     let base = generators::grid(6, 6);
@@ -370,6 +372,28 @@ fn rotation_crash_points_all_recover_bit_identical() {
             ),
         ),
     ];
+    // Power lost after the ack-path half, before any fsync: both new
+    // files exist by name, but how much of the snapshot reached the
+    // disk is anyone's guess. Whatever is there fails its CRC (or its
+    // length check) and the old pair, not yet retired, takes over.
+    let full = std::fs::read(post.join("snap-1.snap")).unwrap();
+    let mut states = states;
+    for (what, keep) in [
+        ("nothing fsynced: snapshot empty", 0),
+        ("nothing fsynced: snapshot torn", full.len() / 2),
+    ] {
+        let state_dir = assemble(
+            &format!("rot-unsynced-{keep}"),
+            &[
+                (pre.as_path(), "meta", "meta"),
+                (pre.as_path(), "snap-0.snap", "snap-0.snap"),
+                (pre.as_path(), "wal-0.log", "wal-0.log"),
+                (post.as_path(), "wal-1.log", "wal-1.log"),
+            ],
+        );
+        std::fs::write(state_dir.join("snap-1.snap"), &full[..keep]).unwrap();
+        states.push((what, state_dir));
+    }
     for (what, state_dir) in states {
         let rec = recover_session(&state_dir, SnapshotPolicy::Never)
             .unwrap_or_else(|e| panic!("recover `{what}`: {e}"));
@@ -378,6 +402,48 @@ fn rotation_crash_points_all_recover_bit_identical() {
     }
     std::fs::remove_dir_all(&pre).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fsyncs of a rotation run behind the ack, so their failure has no
+/// request to fail: it surfaces one request later. Pull the directory
+/// out from under a durable session in the middle of a stream of
+/// every:1 steps with a snapshot after each: whichever half of a
+/// rotation meets the missing directory first — the background fsync of
+/// the one in flight, or the next one's `snap-<n>.tmp` — the client
+/// sees exactly one typed storage error, the request it rode on is
+/// applied all the same, and the session carries on memory-only,
+/// bit-identical to one that never had a disk.
+#[test]
+fn rotation_failure_behind_the_ack_detaches_the_store_once() {
+    let base = generators::grid(6, 6);
+    let cfg = config(2, 0, true);
+    let deltas = delta_stream(&base, 8, 0xB6);
+    let dir = scratch_dir("bgfail", 9);
+    let mut s = ServiceSession::open_durable(
+        base.clone(),
+        cfg.clone(),
+        &dir,
+        "g",
+        SnapshotPolicy::EveryK(1),
+    )
+    .expect("open durable");
+    feed(&mut s, &deltas[..3], 0);
+    assert!(s.store().is_some_and(|st| st.seq() == 3));
+    std::fs::remove_dir_all(&dir).unwrap();
+    let mut errors = Vec::new();
+    for d in &deltas[3..] {
+        if let Err(e) = s.ingest(d) {
+            errors.push((e.kind(), e.to_string()));
+        }
+    }
+    assert_eq!(errors.len(), 1, "one storage error, once: {errors:?}");
+    assert_eq!(errors[0].0, "storage");
+    assert!(errors[0].1.contains("durability lost"), "{}", errors[0].1);
+    assert!(s.store().is_none(), "memory-only from here on");
+    let mut truth = ServiceSession::open(base, cfg);
+    feed(&mut truth, &deltas, 0);
+    assert_bit_identical(&s, &truth, "after losing the disk");
+    assert!(!dir.exists(), "a detached store writes nothing");
 }
 
 /// Satellite: `inspect` and `recover` must agree that a missing WAL is
