@@ -2,7 +2,7 @@
 //! deltas into `igp-serve` over real TCP, under each repartition
 //! policy.
 //!
-//! Custom harness (not criterion): besides the table it emits a
+//! Custom harness (`harness = false`): besides the table it emits a
 //! machine-readable `BENCH_service.json` in the working directory (CI
 //! uploads it as an artifact), recording deltas/second end to end —
 //! wire parsing, registry locking, coalescing and the policy-gated

@@ -1,6 +1,6 @@
 //! Durability overhead and recovery latency.
 //!
-//! Custom harness (not criterion): besides the table it emits a
+//! Custom harness (`harness = false`): besides the table it emits a
 //! machine-readable `BENCH_store.json` (CI uploads it as an artifact)
 //! recording
 //!

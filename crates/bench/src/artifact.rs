@@ -1,7 +1,7 @@
 //! Shared machine-readable bench artifact writer.
 //!
-//! The custom-harness benches (`benches/{backend,service,store}.rs`)
-//! each emit a `BENCH_*.json` in the working directory for CI to
+//! The custom-harness benches (`benches/{service,store}.rs`) each
+//! emit a `BENCH_*.json` in the working directory for CI to
 //! upload. This module is the one place that knows the envelope: a
 //! `schema_version` stamp (bump on any incompatible field change), the
 //! host's core count (scaling results are meaningless without it), and

@@ -7,7 +7,7 @@
 //! cargo run -p igp-bench --release --bin repro_all [seed]
 //! ```
 
-use igp_bench::experiments::{run_sequence_experiment, run_speedup_experiment, Fidelity};
+use igp_bench::experiments::{run_sequence_experiment, run_speedup_experiment};
 use igp_bench::tables::{full_table, speedup_table};
 use igp_lp::{circulation_lp, movement_lp, solve};
 use igp_mesh::sequence::{paper_sequence_a, paper_sequence_b};
@@ -70,7 +70,7 @@ fn main() {
 
     println!("\n---------------- E1: Figure 11 (test set A) ----------------");
     let seq_a = paper_sequence_a(seed);
-    let (base_a, steps_a) = run_sequence_experiment(&seq_a, parts, Fidelity::full());
+    let (base_a, steps_a) = run_sequence_experiment(&seq_a, parts);
     println!(
         "{}",
         full_table(
@@ -87,7 +87,7 @@ fn main() {
 
     println!("\n---------------- E2: Figure 14 (test set B) ----------------");
     let seq_b = paper_sequence_b(seed);
-    let (base_b, steps_b) = run_sequence_experiment(&seq_b, parts, Fidelity::full());
+    let (base_b, steps_b) = run_sequence_experiment(&seq_b, parts);
     println!(
         "{}",
         full_table(

@@ -7,7 +7,7 @@
 //! cargo run -p igp-bench --release --bin repro_fig14 [seed] [parts]
 //! ```
 
-use igp_bench::experiments::{run_sequence_experiment, Fidelity};
+use igp_bench::experiments::run_sequence_experiment;
 use igp_bench::tables::full_table;
 use igp_mesh::sequence::paper_sequence_b;
 
@@ -27,7 +27,7 @@ fn main() {
         seq.base.num_vertices(),
         seq.base.num_edges()
     );
-    let (base, steps) = run_sequence_experiment(&seq, parts, Fidelity::full());
+    let (base, steps) = run_sequence_experiment(&seq, parts);
     println!("==== Figure 14 reproduction: test set B, P = {parts} ====\n");
     println!(
         "{}",

@@ -1,5 +1,4 @@
-//! Experiment runners shared by the `repro_*` binaries and the Criterion
-//! benches.
+//! Experiment runners shared by the `repro_*` binaries.
 
 use igp_core::parallel::ParallelPartitioner;
 use igp_core::{IgpConfig, IncrementalPartitioner};
@@ -7,7 +6,7 @@ use igp_graph::metrics::CutMetrics;
 use igp_graph::{CsrGraph, IncrementalGraph, Partitioning};
 use igp_mesh::sequence::MeshSequence;
 use igp_runtime::{Backend, CostModel};
-use igp_spectral::{recursive_spectral_bisection, FiedlerOptions, RsbOptions};
+use igp_spectral::{recursive_spectral_bisection, RsbOptions};
 use std::time::Instant;
 
 /// One printed table row (one partitioner on one incremental mesh).
@@ -46,38 +45,9 @@ pub struct StepResult {
     pub rows: Vec<RowResult>,
 }
 
-/// Fidelity knobs (benches use lighter spectral settings than the repro
-/// binaries; quality changes by a few percent, runtime by ~10×).
-#[derive(Clone, Copy, Debug)]
-pub struct Fidelity {
-    /// Fiedler solver settings for the SB baseline.
-    pub fiedler: FiedlerOptions,
-    /// Parallel worker count used for the modeled `Time-p`.
-    pub model_workers: usize,
-}
-
-impl Fidelity {
-    /// Settings for the `repro_*` binaries (paper-faithful).
-    pub fn full() -> Self {
-        Fidelity {
-            fiedler: FiedlerOptions::default(),
-            model_workers: 32,
-        }
-    }
-
-    /// Cheaper settings for Criterion iterations.
-    pub fn bench() -> Self {
-        Fidelity {
-            fiedler: FiedlerOptions {
-                subspace: 40,
-                max_restarts: 4,
-                tol: 1e-4,
-                seed: 0x5eed,
-            },
-            model_workers: 32,
-        }
-    }
-}
+/// Parallel worker count behind the modeled `Time-p` column (the
+/// paper's 32-node CM-5).
+const MODEL_WORKERS: usize = 32;
 
 fn cut_row(g: &CsrGraph, part: &Partitioning) -> (u64, u64, u64) {
     let m = CutMetrics::compute(g, part);
@@ -94,14 +64,8 @@ fn cut_row(g: &CsrGraph, part: &Partitioning) -> (u64, u64, u64) {
 /// using the IGP for the previous mesh in the sequence"); we carry the
 /// refined (IGPR) partitioning so per-step rows measure one increment
 /// from a healthy base rather than compounding unrefined drift.
-pub fn run_sequence_experiment(
-    seq: &MeshSequence,
-    p: usize,
-    fid: Fidelity,
-) -> (RowResult, Vec<StepResult>) {
-    let rsb_opts = RsbOptions {
-        fiedler: fid.fiedler,
-    };
+pub fn run_sequence_experiment(seq: &MeshSequence, p: usize) -> (RowResult, Vec<StepResult>) {
+    let rsb_opts = RsbOptions::default();
     // Base partitioning via RSB (timed).
     let t = Instant::now();
     let base_part = recursive_spectral_bisection(&seq.base, p, rsb_opts);
@@ -154,7 +118,7 @@ pub fn run_sequence_experiment(
         let (igp_part, igp_rep) = igp.repartition(inc, &old_part);
         let igp_wall = t.elapsed().as_secs_f64();
         let model_s = model_time(inc, &old_part, p, 1, false);
-        let model_p = model_time(inc, &old_part, p, fid.model_workers, false);
+        let model_p = model_time(inc, &old_part, p, MODEL_WORKERS, false);
         let (ct, cmax, cmin) = cut_row(g, &igp_part);
         rows.push(RowResult {
             name: "IGP",
@@ -174,7 +138,7 @@ pub fn run_sequence_experiment(
         let (igpr_part, igpr_rep) = igpr.repartition(inc, &old_part);
         let igpr_wall = t.elapsed().as_secs_f64();
         let model_s_r = model_time(inc, &old_part, p, 1, true);
-        let model_p_r = model_time(inc, &old_part, p, fid.model_workers, true);
+        let model_p_r = model_time(inc, &old_part, p, MODEL_WORKERS, true);
         let (ct, cmax, cmin) = cut_row(g, &igpr_part);
         rows.push(RowResult {
             name: "IGPR",
@@ -276,7 +240,7 @@ mod tests {
     #[test]
     fn tiny_sequence_experiment_shape() {
         let seq = tiny_sequence(3);
-        let (base, steps) = run_sequence_experiment(&seq, 4, Fidelity::bench());
+        let (base, steps) = run_sequence_experiment(&seq, 4);
         assert_eq!(base.name, "SB");
         assert!(base.cut_total > 0);
         assert_eq!(steps.len(), 2);

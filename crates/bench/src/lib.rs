@@ -9,8 +9,10 @@
 //!   sequential wall time, and simulated CM-5 `Time-s` / `Time-p`.
 //! * [`experiments::run_speedup_experiment`] — the in-text "speedup of
 //!   around 15 to 20 on a 32-node CM-5" claim, sweeping worker counts.
-//! * `repro_*` binaries print the tables; Criterion benches under
-//!   `benches/` track the same kernels as regressions.
+//! * `repro_*` binaries print the tables; `benches/{service,store}.rs`
+//!   price the serving and durability layers ([`artifact`] writes their
+//!   `BENCH_*.json`). Kernel timings at the paper's sizes come from the
+//!   standalone `benchmark/` package.
 
 pub mod artifact;
 pub mod experiments;

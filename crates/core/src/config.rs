@@ -32,21 +32,6 @@ pub enum BalanceSolver {
     NetworkFlow,
 }
 
-/// Which refinement algorithm IGPR runs (ablation E8).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RefineEngine {
-    /// The paper's LP circulation (eq. 14–16): preserves partition sizes
-    /// *exactly*.
-    LpCirculation,
-    /// Greedy Fiduccia–Mattheyses boundary passes: simpler and cheaper but
-    /// needs a balance slack to move anything from an exactly balanced
-    /// state — the trade-off that motivates the paper's LP formulation.
-    Fm {
-        /// Allowed deviation above the average partition count.
-        slack: u32,
-    },
-}
-
 /// Refinement-phase (IGPR) parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct RefineConfig {
@@ -58,8 +43,6 @@ pub struct RefineConfig {
     /// After this many rounds switch `out(v,j) − in(v) ≥ 0` to `> 0`
     /// (the paper's strict-inequality rule against zero-gain churn).
     pub strict_after: usize,
-    /// Refinement algorithm.
-    pub engine: RefineEngine,
 }
 
 impl Default for RefineConfig {
@@ -68,7 +51,6 @@ impl Default for RefineConfig {
             max_iters: 8,
             min_gain: 1,
             strict_after: 3,
-            engine: RefineEngine::LpCirculation,
         }
     }
 }

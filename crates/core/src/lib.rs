@@ -43,7 +43,7 @@ pub mod refine;
 pub mod report;
 pub mod session;
 
-pub use config::{BalanceSolver, CapPolicy, IgpConfig, RefineConfig, RefineEngine};
+pub use config::{BalanceSolver, CapPolicy, IgpConfig, RefineConfig};
 pub use igp_runtime::Backend;
 pub use parallel::ParallelPartitioner;
 pub use partitioner::IncrementalPartitioner;

@@ -164,44 +164,10 @@ fn collect_candidates(
     (pairs, table, work)
 }
 
-/// Run the refinement phase with the configured engine, mutating `part`
+/// Run the refinement phase — the paper's iterative LP circulation
+/// (eq. 14–16), which preserves partition sizes exactly — mutating `part`
 /// in place.
 pub fn refine(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineOutcome {
-    match cfg.refine.engine {
-        crate::config::RefineEngine::LpCirculation => refine_lp(g, part, cfg),
-        crate::config::RefineEngine::Fm { slack } => refine_fm(g, part, cfg, slack),
-    }
-}
-
-/// FM-engine wrapper (ablation E8): greedy boundary passes with a balance
-/// slack, reported through the same [`RefineOutcome`] shape.
-fn refine_fm(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig, slack: u32) -> RefineOutcome {
-    let cut_before = part.cut_edges();
-    let fm = igp_graph::fm::fm_refine(
-        g,
-        part,
-        igp_graph::fm::FmOptions {
-            max_passes: cfg.refine.max_iters,
-            balance_slack: slack,
-            strict_gain: true,
-        },
-    );
-    let cut_after = part.cut_edges();
-    RefineOutcome {
-        iters: vec![RefineIterReport {
-            moved: fm.moved,
-            cut_before,
-            cut_after,
-            rolled_back: false,
-            lp: LpAccounting::default(),
-        }],
-        total_moved: fm.moved,
-        work: fm.passes as u64 * 2 * g.num_edges() as u64,
-    }
-}
-
-/// The paper's iterative LP-circulation refinement.
-fn refine_lp(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineOutcome {
     let mut out = RefineOutcome::default();
     let mut cut_before = part.cut_edges();
     for it in 0..cfg.refine.max_iters {
@@ -419,37 +385,6 @@ mod tests {
         );
         assert!(outcome.total_moved >= 2);
         assert_eq!(part.count(0), 16);
-    }
-
-    #[test]
-    fn fm_engine_trades_slack_for_gain() {
-        use crate::config::RefineEngine;
-        // Band split with reciprocal dents; both engines should fix it,
-        // but FM may use its slack while LP preserves sizes exactly.
-        let g = generators::grid(8, 8);
-        let mut assign: Vec<PartId> = (0..64).map(|v| if v % 8 < 4 { 0 } else { 1 }).collect();
-        assign[0 * 8 + 4] = 0;
-        assign[7 * 8 + 3] = 1;
-        let base = Partitioning::from_assignment(&g, 2, assign);
-        let cut0 = CutMetrics::compute(&g, &base).total_cut_edges;
-
-        let mut lp_part = base.clone();
-        let _ = refine(&g, &mut lp_part, &cfg(2));
-        assert_eq!(
-            lp_part.counts(),
-            base.counts(),
-            "LP preserves sizes exactly"
-        );
-
-        let mut fm_cfg = cfg(2);
-        fm_cfg.refine.engine = RefineEngine::Fm { slack: 1 };
-        let mut fm_part = base.clone();
-        let _ = refine(&g, &mut fm_part, &fm_cfg);
-        let cut_fm = CutMetrics::compute(&g, &fm_part).total_cut_edges;
-        assert!(cut_fm <= cut0);
-        // FM may deviate, but only within its slack.
-        let avg_ceil = 32u32;
-        assert!(fm_part.counts().iter().all(|&c| c <= avg_ceil + 1));
     }
 
     #[test]

@@ -131,13 +131,21 @@ enum DriverKind {
 ///     assert!(summary.balanced);
 /// }
 /// assert_eq!(session.graph().num_vertices(), 118);
-/// assert_eq!(session.history().len(), 3);
+/// assert_eq!(session.steps(), 3);
 /// ```
 pub struct IgpSession {
     graph: CsrGraph,
     part: Partitioning,
     driver: Driver,
-    history: Vec<StepSummary>,
+    /// Steps taken over the session's whole lifetime; a rehydrated
+    /// session continues from its seed's count, so step indices in
+    /// summaries carry across restarts.
+    steps: usize,
+    /// Vertices moved by all of those steps.
+    total_moved: u64,
+    /// The most recent step taken by *this process* (`None` until one
+    /// runs: snapshots do not persist summaries).
+    last: Option<StepSummary>,
     needs_scratch: bool,
     /// Deltas queued via [`IgpSession::queue_delta`], folded but not yet
     /// applied; `None` when nothing is pending.
@@ -148,12 +156,6 @@ pub struct IgpSession {
     /// session. Durability snapshots persist it, and the recovery
     /// property suite asserts it bit-identical across crash + replay.
     base_of_current: Vec<NodeId>,
-    /// Steps taken before this process held the session (non-zero only
-    /// after [`IgpSession::rehydrate`]); [`IgpSession::steps`] and step
-    /// indices in summaries continue across restarts.
-    prior_steps: usize,
-    /// Vertices moved by steps that predate this process.
-    prior_moved: u64,
 }
 
 /// Persisted session state consumed by [`IgpSession::rehydrate`]: what
@@ -175,30 +177,40 @@ pub struct SessionSeed {
     pub needs_scratch: bool,
 }
 
+impl SessionSeed {
+    /// The seed of a session that has not stepped yet.
+    fn fresh(graph: CsrGraph, part: Partitioning) -> Self {
+        let base_of_current = (0..graph.num_vertices() as NodeId).collect();
+        SessionSeed {
+            graph,
+            part,
+            base_of_current,
+            steps: 0,
+            total_moved: 0,
+            needs_scratch: false,
+        }
+    }
+}
+
+fn sequential(cfg: IgpConfig, refined: bool) -> IncrementalPartitioner {
+    if refined {
+        IncrementalPartitioner::igpr(cfg)
+    } else {
+        IncrementalPartitioner::igp(cfg)
+    }
+}
+
+fn parallel(cfg: IgpConfig, refined: bool, workers: usize) -> ParallelPartitioner {
+    ParallelPartitioner::new(cfg, workers, refined, CostModel::cm5())
+}
+
 impl IgpSession {
     /// Start a session from an initial graph and a partitioning built on
     /// it (typically by RSB). `refined` selects IGPR vs IGP.
     pub fn new(graph: CsrGraph, part: Partitioning, cfg: IgpConfig, refined: bool) -> Self {
-        assert_eq!(graph.num_vertices(), part.num_vertices());
-        assert_eq!(part.num_parts(), cfg.num_parts);
-        debug_assert_eq!(part.validate(&graph), Ok(()), "`part` was built on `graph`");
-        let partitioner = if refined {
-            IncrementalPartitioner::igpr(cfg)
-        } else {
-            IncrementalPartitioner::igp(cfg)
-        };
-        let base = (0..graph.num_vertices() as NodeId).collect();
-        IgpSession {
-            graph,
-            part,
-            driver: Driver::Sequential(partitioner),
-            history: Vec::new(),
-            needs_scratch: false,
-            pending: None,
-            base_of_current: base,
-            prior_steps: 0,
-            prior_moved: 0,
-        }
+        let num_parts = cfg.num_parts;
+        let driver = Driver::Sequential(sequential(cfg, refined));
+        Self::from_seed(SessionSeed::fresh(graph, part), num_parts, driver)
     }
 
     /// Start a session whose repartitioning runs the SPMD driver on
@@ -212,22 +224,9 @@ impl IgpSession {
         refined: bool,
         workers: usize,
     ) -> Self {
-        assert_eq!(graph.num_vertices(), part.num_vertices());
-        assert_eq!(part.num_parts(), cfg.num_parts);
-        debug_assert_eq!(part.validate(&graph), Ok(()), "`part` was built on `graph`");
-        let partitioner = ParallelPartitioner::new(cfg, workers, refined, CostModel::cm5());
-        let base = (0..graph.num_vertices() as NodeId).collect();
-        IgpSession {
-            graph,
-            part,
-            driver: Driver::Parallel(partitioner),
-            history: Vec::new(),
-            needs_scratch: false,
-            pending: None,
-            base_of_current: base,
-            prior_steps: 0,
-            prior_moved: 0,
-        }
+        let num_parts = cfg.num_parts;
+        let driver = Driver::Parallel(parallel(cfg, refined, workers));
+        Self::from_seed(SessionSeed::fresh(graph, part), num_parts, driver)
     }
 
     /// Resume a session from persisted state (crash recovery): the
@@ -243,37 +242,40 @@ impl IgpSession {
     /// repartitions are bit-identical because every driver is
     /// deterministic in (graph, partitioning, config).
     pub fn rehydrate(seed: SessionSeed, cfg: IgpConfig, refined: bool, workers: usize) -> Self {
+        let num_parts = cfg.num_parts;
+        let driver = if workers == 0 {
+            Driver::Sequential(sequential(cfg, refined))
+        } else {
+            Driver::Parallel(parallel(cfg, refined, workers))
+        };
+        Self::from_seed(seed, num_parts, driver)
+    }
+
+    /// The one constructor: a fresh session is a seed with zeroed
+    /// counters and the identity map.
+    fn from_seed(seed: SessionSeed, num_parts: usize, driver: Driver) -> Self {
         assert_eq!(seed.graph.num_vertices(), seed.part.num_vertices());
-        assert_eq!(seed.part.num_parts(), cfg.num_parts);
+        assert_eq!(seed.part.num_parts(), num_parts);
         assert_eq!(
             seed.base_of_current.len(),
             seed.graph.num_vertices(),
             "base_of_current length mismatch"
         );
-        let driver = if workers == 0 {
-            Driver::Sequential(if refined {
-                IncrementalPartitioner::igpr(cfg)
-            } else {
-                IncrementalPartitioner::igp(cfg)
-            })
-        } else {
-            Driver::Parallel(ParallelPartitioner::new(
-                cfg,
-                workers,
-                refined,
-                CostModel::cm5(),
-            ))
-        };
+        debug_assert_eq!(
+            seed.part.validate(&seed.graph),
+            Ok(()),
+            "`part` was built on `graph`"
+        );
         IgpSession {
             graph: seed.graph,
             part: seed.part,
             driver,
-            history: Vec::new(),
+            steps: seed.steps,
+            total_moved: seed.total_moved,
+            last: None,
             needs_scratch: seed.needs_scratch,
             pending: None,
             base_of_current: seed.base_of_current,
-            prior_steps: seed.steps,
-            prior_moved: seed.total_moved,
         }
     }
 
@@ -286,8 +288,8 @@ impl IgpSession {
             graph: self.graph.clone(),
             part: self.part.clone(),
             base_of_current: self.base_of_current.clone(),
-            steps: self.steps(),
-            total_moved: self.total_moved(),
+            steps: self.steps,
+            total_moved: self.total_moved,
             needs_scratch: self.needs_scratch,
         }
     }
@@ -302,17 +304,17 @@ impl IgpSession {
         &self.part
     }
 
-    /// Per-step summaries taken by *this process* (a rehydrated session
+    /// The most recent step taken by *this process* (a rehydrated session
     /// does not reconstruct pre-crash summaries; [`IgpSession::steps`]
     /// counts across restarts).
-    pub fn history(&self) -> &[StepSummary] {
-        &self.history
+    pub fn last_step(&self) -> Option<&StepSummary> {
+        self.last.as_ref()
     }
 
     /// Steps taken over the session's whole lifetime, including steps
     /// that predate a [`IgpSession::rehydrate`].
     pub fn steps(&self) -> usize {
-        self.prior_steps + self.history.len()
+        self.steps
     }
 
     /// Birth-graph id of each current vertex ([`INVALID_NODE`] for
@@ -466,7 +468,7 @@ impl IgpSession {
             m.scratch_signals_total.inc();
         }
         let summary = StepSummary {
-            step: self.prior_steps + self.history.len(),
+            step: self.steps,
             num_vertices: new_part.num_vertices(),
             cut: new_part.cut_edges(),
             imbalance: new_part.count_imbalance(),
@@ -485,7 +487,9 @@ impl IgpSession {
         self.graph = inc.into_new_graph();
         self.part = new_part;
         self.needs_scratch |= !summary.balanced;
-        self.history.push(summary.clone());
+        self.steps += 1;
+        self.total_moved += moved;
+        self.last = Some(summary.clone());
         summary
     }
 
@@ -507,7 +511,7 @@ impl IgpSession {
     /// the paper trades against solver time), including pre-rehydrate
     /// steps.
     pub fn total_moved(&self) -> u64 {
-        self.prior_moved + self.history.iter().map(|s| s.moved).sum::<u64>()
+        self.total_moved
     }
 }
 
@@ -534,7 +538,7 @@ mod tests {
             assert!(sum.imbalance < 1.05);
         }
         assert_eq!(s.graph().num_vertices(), 64 + 32);
-        assert_eq!(s.history().len(), 4);
+        assert_eq!(s.steps(), 4);
         assert!(s.total_moved() > 0);
         assert!(!s.needs_scratch());
         s.partitioning().validate(s.graph()).unwrap();
@@ -606,11 +610,11 @@ mod tests {
         }
         assert_eq!(s.pending_deltas(), 4);
         assert_eq!(s.graph().num_vertices(), 64);
-        assert!(s.history().is_empty());
+        assert_eq!(s.steps(), 0);
         let sum = s.flush().expect("non-empty batch must step");
         assert_eq!(s.pending_deltas(), 0);
         assert_eq!(s.graph(), &expect);
-        assert_eq!(s.history().len(), 1);
+        assert_eq!(s.steps(), 1);
         assert_eq!(sum.num_vertices, 64 + 24);
         s.partitioning().validate(s.graph()).unwrap();
         // Flushing an empty queue is a no-op.
@@ -633,7 +637,7 @@ mod tests {
         .unwrap();
         assert_eq!(s.pending_deltas(), 2);
         assert!(s.flush().is_none(), "cancelled batch must not step");
-        assert!(s.history().is_empty());
+        assert_eq!(s.steps(), 0);
         assert_eq!(s.graph().num_vertices(), 64);
     }
 
@@ -658,7 +662,7 @@ mod tests {
         let d2 = generators::localized_growth_delta(s.graph(), 0, 4, 2);
         let sum = s.apply_deltas(std::slice::from_ref(&d2)).unwrap().unwrap();
         assert!(sum.balanced);
-        assert_eq!(s.history().len(), 2);
+        assert_eq!(s.steps(), 2);
     }
 
     /// Regression: a rejected queue_delta must not pin an empty
@@ -751,6 +755,7 @@ mod tests {
         let seed = full.seed();
         assert_eq!(seed.steps, 2);
         let mut recovered = IgpSession::rehydrate(seed, IgpConfig::new(4), true, 0);
+        assert!(recovered.last_step().is_none());
         for d in &deltas[2..] {
             let a = full.apply_delta(d);
             let b = recovered.apply_delta(d);
@@ -767,8 +772,7 @@ mod tests {
         assert_eq!(recovered.steps(), full.steps());
         assert_eq!(recovered.total_moved(), full.total_moved());
         assert_eq!(recovered.needs_scratch(), full.needs_scratch());
-        // History only holds post-rehydrate steps, but indices align.
-        assert_eq!(recovered.history().len(), 2);
-        assert_eq!(recovered.history()[0].step, 2);
+        // Summaries are not persisted, but indices align.
+        assert_eq!(recovered.last_step().map(|s| s.step), Some(3));
     }
 }

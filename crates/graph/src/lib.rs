@@ -15,7 +15,7 @@
 //!   size and boundary maintained under moves, and validation.
 //! * [`metrics`] — cutset statistics exactly as reported in the paper's
 //!   tables (total cut edges, per-partition boundary cost `C(q)` max/min,
-//!   load imbalance, `W(q) + α·C(q)` cost model).
+//!   load imbalance).
 //! * [`traversal`] — BFS utilities (single and multi-source, ownership
 //!   propagation) used by the assignment and layering phases.
 //! * [`generators`] — synthetic graph families for tests and benches.
@@ -46,7 +46,6 @@
 pub mod coalesce;
 pub mod csr;
 pub mod delta;
-pub mod fm;
 pub mod generators;
 pub mod io;
 pub mod metrics;

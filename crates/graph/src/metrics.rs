@@ -8,9 +8,6 @@
 //! * **Max / Min** — the largest/smallest per-partition *outgoing* cost
 //!   `C(q) = Σ_{v∈B(q), u∉B(q)} w(v,u)` (paper eq. 2). With unit weights
 //!   `Σ_q C(q) = 2·Total`.
-//!
-//! The machine cost model `max_q (W(q) + α·C(q))` from §1.1 is also
-//! provided ([`CutMetrics::machine_cost`]).
 
 use crate::csr::CsrGraph;
 use crate::partition::Partitioning;
@@ -95,77 +92,10 @@ impl CutMetrics {
         }
     }
 
-    /// The §1.1 machine model: `max_q (W(q) + α·C(q))`, with `α` the ratio
-    /// of unit-communication to unit-computation cost.
-    pub fn machine_cost(&self, alpha: f64) -> f64 {
-        self.per_part
-            .iter()
-            .map(|c| c.weight as f64 + alpha * c.boundary as f64)
-            .fold(0.0, f64::max)
-    }
-
     /// `Σ_q C(q)`; equals `2 × total_cut_weight` (checked by tests).
     pub fn sum_boundary(&self) -> Weight {
         self.per_part.iter().map(|c| c.boundary).sum()
     }
-
-    /// One-line table row `total / max / min` as printed by the paper.
-    pub fn cutset_row(&self) -> String {
-        format!(
-            "{:>6} {:>5} {:>5}",
-            self.total_cut_edges, self.max_boundary, self.min_boundary
-        )
-    }
-}
-
-/// Connected-fragment count per partition (1 = contiguous). Spectral
-/// partitions of meshes are usually contiguous; incremental movement can
-/// fragment them — a quality dimension the paper's figures show visually.
-pub fn partition_fragments(graph: &CsrGraph, part: &Partitioning) -> Vec<u32> {
-    let mut frags = vec![0u32; part.num_parts()];
-    let mut comp = vec![u32::MAX; graph.num_vertices()];
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut next = 0u32;
-    for v in graph.vertices() {
-        if comp[v as usize] != u32::MAX {
-            continue;
-        }
-        let p = part.part_of(v);
-        frags[p as usize] += 1;
-        comp[v as usize] = next;
-        stack.push(v);
-        while let Some(x) = stack.pop() {
-            for &u in graph.neighbors(x) {
-                if comp[u as usize] == u32::MAX && part.part_of(u) == p {
-                    comp[u as usize] = next;
-                    stack.push(u);
-                }
-            }
-        }
-        next += 1;
-    }
-    frags
-}
-
-/// Count edges between two specific partitions (diagnostic).
-pub fn edges_between(
-    graph: &CsrGraph,
-    part: &Partitioning,
-    a: crate::PartId,
-    b: crate::PartId,
-) -> u64 {
-    let mut n = 0;
-    for v in graph.vertices() {
-        if part.part_of(v) != a {
-            continue;
-        }
-        for &u in graph.neighbors(v) {
-            if part.part_of(u) == b {
-                n += 1;
-            }
-        }
-    }
-    n
 }
 
 /// Gain of moving `v` to partition `to`: (weighted) external edges to `to`
@@ -215,7 +145,6 @@ mod tests {
         let m = CutMetrics::compute(&g, &p);
         assert_eq!(m.total_cut_edges, 1);
         assert_eq!(m.total_cut_weight, 3);
-        assert_eq!(m.machine_cost(2.0), 2.0 + 2.0 * 3.0);
     }
 
     #[test]
@@ -236,15 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn edges_between_pairs() {
-        let g = cycle6();
-        let p = Partitioning::from_assignment(&g, 2, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(edges_between(&g, &p, 0, 1), 2);
-        assert_eq!(edges_between(&g, &p, 1, 0), 2);
-        assert_eq!(edges_between(&g, &p, 0, 0), 4); // internal half-edges
-    }
-
-    #[test]
     fn move_gain_matches_definition() {
         let g = cycle6();
         let p = Partitioning::from_assignment(&g, 2, vec![0, 0, 0, 1, 1, 1]);
@@ -252,28 +172,5 @@ mod tests {
         assert_eq!(move_gain(&g, &p, 2, 1), 0);
         // Vertex 1: both neighbours internal → gain -2.
         assert_eq!(move_gain(&g, &p, 1, 1), -2);
-    }
-
-    #[test]
-    fn fragment_counting() {
-        // Path 0-1-2-3-4-5: partition 0 = {0,1,4,5} (two fragments),
-        // partition 1 = {2,3} (one fragment).
-        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let p = Partitioning::from_assignment(&g, 2, vec![0, 0, 1, 1, 0, 0]);
-        assert_eq!(partition_fragments(&g, &p), vec![2, 1]);
-        // Contiguous bands: one fragment each.
-        let p2 = Partitioning::from_assignment(&g, 2, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(partition_fragments(&g, &p2), vec![1, 1]);
-    }
-
-    #[test]
-    fn cutset_row_format() {
-        let g = cycle6();
-        let p = Partitioning::from_assignment(&g, 2, vec![0, 0, 0, 1, 1, 1]);
-        let m = CutMetrics::compute(&g, &p);
-        assert_eq!(
-            m.cutset_row().split_whitespace().collect::<Vec<_>>(),
-            vec!["2", "2", "2"]
-        );
     }
 }

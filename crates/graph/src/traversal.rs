@@ -162,29 +162,6 @@ pub fn bfs_order(graph: &CsrGraph, source: NodeId) -> Vec<NodeId> {
     order
 }
 
-/// Eccentricity-style pseudo-peripheral vertex: repeated BFS from the
-/// farthest vertex. Used by spectral bisection to seed Lanczos and by mesh
-/// diagnostics.
-pub fn pseudo_peripheral(graph: &CsrGraph, start: NodeId) -> NodeId {
-    let mut v = start;
-    let mut ecc = 0u32;
-    loop {
-        let dist = bfs_distances(graph, &[v]);
-        let (far, fd) = dist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d != UNREACHABLE)
-            .max_by_key(|&(i, &d)| (d, std::cmp::Reverse(i)))
-            .map(|(i, &d)| (i as NodeId, d))
-            .unwrap_or((v, 0));
-        if fd <= ecc {
-            return v;
-        }
-        ecc = fd;
-        v = far;
-    }
-}
-
 /// Cluster the vertices for which `in_set` is true into connected clusters
 /// (within the induced subgraph), returning one `Vec` per cluster. The
 /// paper needs this for new vertices not connected to any old vertex: "the
@@ -340,12 +317,5 @@ mod tests {
     fn bfs_order_visits_all() {
         let g = path(4);
         assert_eq!(bfs_order(&g, 2), vec![2, 1, 3, 0]);
-    }
-
-    #[test]
-    fn pseudo_peripheral_of_path_is_end() {
-        let g = path(9);
-        let v = pseudo_peripheral(&g, 4);
-        assert!(v == 0 || v == 8, "got {v}");
     }
 }

@@ -7,10 +7,10 @@
 //! combinatorial solvers for both:
 //!
 //! * as **independent oracles** for property-testing the dense simplex, and
-//! * as an **ablation comparator** (`bench ablation`): the paper remarks
-//!   their dense simplex dominates total runtime and that sparse/structured
-//!   approaches "can substantially reduce" the cost — these are that
-//!   structured alternative.
+//! * as an **ablation comparator** (`benchmark/`'s `lp.*_flow_us` rows):
+//!   the paper remarks their dense simplex dominates total runtime and
+//!   that sparse/structured approaches "can substantially reduce" the
+//!   cost — these are that structured alternative.
 
 /// A directed flow network with per-arc capacity and cost, stored as a
 /// paired residual edge list (`edge ^ 1` is the reverse arc).

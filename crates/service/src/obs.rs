@@ -8,88 +8,28 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::policy::RepartitionPolicy;
-use crate::protocol::Request;
 use igp_obs::{registry, Counter, Gauge, Histogram};
 
-/// The protocol verbs, in the order [`verb_idx`] assigns; used as the
-/// `verb` label value.
-pub const VERBS: [&str; 15] = [
-    "ping",
-    "open",
-    "delta",
-    "flush",
-    "stat",
-    "part",
-    "close",
-    "list",
-    "metrics",
-    "shutdown",
-    "repl-sync",
-    "repl-frames",
-    "promote",
-    "trace",
-    "stall",
+/// The protocol verbs in the order
+/// [`Request::verb_idx`](crate::protocol::Request::verb_idx) assigns:
+/// `(verb label value, trace root-span name)`.
+pub const VERBS: [(&str, &str); 15] = [
+    ("ping", "req:ping"),
+    ("open", "req:open"),
+    ("delta", "req:delta"),
+    ("flush", "req:flush"),
+    ("stat", "req:stat"),
+    ("part", "req:part"),
+    ("close", "req:close"),
+    ("list", "req:list"),
+    ("metrics", "req:metrics"),
+    ("shutdown", "req:shutdown"),
+    ("repl-sync", "req:repl-sync"),
+    ("repl-frames", "req:repl-frames"),
+    ("promote", "req:promote"),
+    ("trace", "req:trace"),
+    ("stall", "req:stall"),
 ];
-
-/// Index of a parsed request's verb into the per-verb metric arrays.
-pub fn verb_idx(req: &Request) -> usize {
-    match req {
-        Request::Ping => 0,
-        Request::Open { .. } => 1,
-        Request::Delta { .. } => 2,
-        Request::Flush { .. } => 3,
-        Request::Stat { .. } => 4,
-        Request::Part { .. } => 5,
-        Request::Close { .. } => 6,
-        Request::List => 7,
-        Request::Metrics => 8,
-        Request::Shutdown => 9,
-        Request::ReplSync { .. } => 10,
-        Request::ReplFrames { .. } => 11,
-        Request::Promote => 12,
-        Request::TraceDump { .. } | Request::TraceSlow { .. } => 13,
-        Request::Stall { .. } => 14,
-    }
-}
-
-/// Root span names for request traces, parallel to [`VERBS`].
-const REQ_SPAN_NAMES: [&str; VERBS.len()] = [
-    "req:ping",
-    "req:open",
-    "req:delta",
-    "req:flush",
-    "req:stat",
-    "req:part",
-    "req:close",
-    "req:list",
-    "req:metrics",
-    "req:shutdown",
-    "req:repl-sync",
-    "req:repl-frames",
-    "req:promote",
-    "req:trace",
-    "req:stall",
-];
-
-/// The trace root-span name for a parsed request (`req:<verb>`).
-pub fn req_span_name(req: &Request) -> &'static str {
-    REQ_SPAN_NAMES[verb_idx(req)]
-}
-
-/// The session id a request targets, if any — worker log context.
-pub fn request_sid(req: &Request) -> Option<&str> {
-    match req {
-        Request::Open { sid, .. }
-        | Request::Delta { sid, .. }
-        | Request::Flush { sid }
-        | Request::Stat { sid }
-        | Request::Part { sid }
-        | Request::Close { sid }
-        | Request::ReplSync { sid }
-        | Request::ReplFrames { sid, .. } => Some(sid),
-        _ => None,
-    }
-}
 
 /// Wire error kinds (`ERR <kind> …`): every [`crate::ServiceError`]
 /// kind plus `proto` for unparseable request lines.
@@ -114,7 +54,7 @@ pub const HTTP_PATHS: [&str; 6] = [
 
 /// All service-layer metric handles; one instance per process.
 pub struct ServiceMetrics {
-    /// `igp_service_requests_total{verb=…}` — indexed by [`verb_idx`].
+    /// `igp_service_requests_total{verb=…}` — indexed per [`VERBS`].
     pub requests_total: [Arc<Counter>; VERBS.len()],
     /// `igp_service_request_us{verb=…}` — wall time from parse to reply.
     pub request_us: [Arc<Histogram>; VERBS.len()],
@@ -272,14 +212,14 @@ pub fn metrics() -> &'static ServiceMetrics {
                 r.counter(
                     "igp_service_requests_total",
                     "Requests handled, by protocol verb",
-                    vec![("verb", VERBS[i].to_string())],
+                    vec![("verb", VERBS[i].0.to_string())],
                 )
             }),
             request_us: std::array::from_fn(|i| {
                 r.histogram(
                     "igp_service_request_us",
                     "Request wall time from parse to reply (microseconds)",
-                    vec![("verb", VERBS[i].to_string())],
+                    vec![("verb", VERBS[i].0.to_string())],
                 )
             }),
             errors_total: std::array::from_fn(|i| {
@@ -459,19 +399,66 @@ mod tests {
 
     #[test]
     fn verb_table_matches_request_enum() {
+        use crate::protocol::{Request, StallTarget};
+        let sid = || String::from("s");
         let reqs = [
             Request::Ping,
+            Request::Open {
+                sid: sid(),
+                cfg: crate::SessionConfig::new(2),
+            },
+            Request::Delta {
+                sid: sid(),
+                delta: Default::default(),
+            },
+            Request::Flush { sid: sid() },
+            Request::Stat { sid: sid() },
+            Request::Part { sid: sid() },
+            Request::Close { sid: sid() },
             Request::List,
             Request::Metrics,
             Request::Shutdown,
-            Request::Flush { sid: "s".into() },
+            Request::ReplSync { sid: sid() },
+            Request::ReplFrames {
+                sid: sid(),
+                seq: 0,
+                offset: 0,
+            },
+            Request::Promote,
+            Request::TraceDump { n: 1 },
+            Request::TraceSlow { threshold_us: 1 },
+            Request::Stall {
+                target: StallTarget::Loop,
+                ms: 1,
+            },
         ];
+        let mut seen = [false; VERBS.len()];
         for req in &reqs {
-            let i = verb_idx(req);
-            assert!(i < VERBS.len());
+            // No `_` arm: a new variant must be added to `reqs` too.
+            let (label, has_sid) = match req {
+                Request::Ping => ("ping", false),
+                Request::Open { .. } => ("open", true),
+                Request::Delta { .. } => ("delta", true),
+                Request::Flush { .. } => ("flush", true),
+                Request::Stat { .. } => ("stat", true),
+                Request::Part { .. } => ("part", true),
+                Request::Close { .. } => ("close", true),
+                Request::List => ("list", false),
+                Request::Metrics => ("metrics", false),
+                Request::Shutdown => ("shutdown", false),
+                Request::ReplSync { .. } => ("repl-sync", true),
+                Request::ReplFrames { .. } => ("repl-frames", true),
+                Request::Promote => ("promote", false),
+                Request::TraceDump { .. } | Request::TraceSlow { .. } => ("trace", false),
+                Request::Stall { .. } => ("stall", false),
+            };
+            let (got_label, got_span) = VERBS[req.verb_idx()];
+            assert_eq!(got_label, label, "{req:?}");
+            assert_eq!(got_span, format!("req:{label}"), "{req:?}");
+            assert_eq!(req.sid().is_some(), has_sid, "{req:?}");
+            seen[req.verb_idx()] = true;
         }
-        assert_eq!(VERBS[verb_idx(&Request::Metrics)], "metrics");
-        assert_eq!(VERBS[verb_idx(&Request::Ping)], "ping");
+        assert_eq!(seen, [true; VERBS.len()], "every verb has a request");
     }
 
     #[test]
@@ -510,12 +497,5 @@ mod tests {
         refresh_process_gauges();
         assert_eq!(m.build_info.get(), 1);
         assert!(m.process_start_time_seconds.get() > 0);
-        assert_eq!(
-            VERBS[verb_idx(&Request::Stall {
-                target: crate::protocol::StallTarget::Loop,
-                ms: 1,
-            })],
-            "stall"
-        );
     }
 }

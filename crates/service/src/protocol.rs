@@ -67,6 +67,52 @@ pub enum Request {
     Stall { target: StallTarget, ms: u64 },
 }
 
+impl Request {
+    /// Index of this request's verb into [`crate::obs::VERBS`] and the
+    /// per-verb metric arrays.
+    pub fn verb_idx(&self) -> usize {
+        match self {
+            Request::Ping => 0,
+            Request::Open { .. } => 1,
+            Request::Delta { .. } => 2,
+            Request::Flush { .. } => 3,
+            Request::Stat { .. } => 4,
+            Request::Part { .. } => 5,
+            Request::Close { .. } => 6,
+            Request::List => 7,
+            Request::Metrics => 8,
+            Request::Shutdown => 9,
+            Request::ReplSync { .. } => 10,
+            Request::ReplFrames { .. } => 11,
+            Request::Promote => 12,
+            Request::TraceDump { .. } | Request::TraceSlow { .. } => 13,
+            Request::Stall { .. } => 14,
+        }
+    }
+
+    /// The session id this request targets, if any — worker log context.
+    pub fn sid(&self) -> Option<&str> {
+        match self {
+            Request::Open { sid, .. }
+            | Request::Delta { sid, .. }
+            | Request::Flush { sid }
+            | Request::Stat { sid }
+            | Request::Part { sid }
+            | Request::Close { sid }
+            | Request::ReplSync { sid }
+            | Request::ReplFrames { sid, .. } => Some(sid),
+            Request::Ping
+            | Request::List
+            | Request::Metrics
+            | Request::Shutdown
+            | Request::Promote
+            | Request::TraceDump { .. }
+            | Request::TraceSlow { .. }
+            | Request::Stall { .. } => None,
+        }
+    }
+}
+
 /// What `STALL` wedges: the event loop thread or one pool worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StallTarget {

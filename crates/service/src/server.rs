@@ -1077,16 +1077,16 @@ impl EventLoop {
         let t0 = igp_obs::enabled().then(Instant::now);
         let _lctx = igp_obs::set_log_ctx(format_args!("conn={}", FIRST_CONN + slot));
         let parsed = parse_request(trimmed);
-        let vi = parsed.as_ref().ok().map(crate::obs::verb_idx);
+        let vi = parsed.as_ref().ok().map(Request::verb_idx);
         if let Some(vi) = vi {
             m.requests_total[vi].inc();
             igp_obs::debug!(
                 target: "serve", "request";
-                verb = crate::obs::VERBS[vi], bytes = line.len(),
+                verb = crate::obs::VERBS[vi].0, bytes = line.len(),
             );
         }
         let root = match (&parsed, t0) {
-            (Ok(req), Some(t0)) => Span::root_from(crate::obs::req_span_name(req), t0),
+            (Ok(req), Some(t0)) => Span::root_from(crate::obs::VERBS[req.verb_idx()].1, t0),
             _ => Span::disabled(),
         };
         if let (Some(t0), Some(ctx)) = (t0, root.ctx()) {
@@ -1556,7 +1556,7 @@ impl EventLoop {
 /// The session id a pool job targets, if any (worker log context).
 fn job_sid(job: &PoolJob) -> Option<&str> {
     match job {
-        PoolJob::Verb(req) => crate::obs::request_sid(req),
+        PoolJob::Verb(req) => req.sid(),
         PoolJob::Open { sid, .. } => Some(sid),
     }
 }
@@ -1741,7 +1741,7 @@ fn pool_reply(ctx: &Arc<ServerCtx>, job: PoolJob) -> String {
             // error.
             err_line(&ServiceError::Internal(format!(
                 "verb `{}` is not a pool verb",
-                crate::obs::VERBS[crate::obs::verb_idx(&req)]
+                crate::obs::VERBS[req.verb_idx()].0
             )))
         }
     }

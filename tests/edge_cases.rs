@@ -195,10 +195,8 @@ fn weighted_edges_respected_by_refinement() {
     // Adversarial case for batch LP refinement: on this weighted cycle,
     // BOTH endpoints of the weight-10 edge want to cross in opposite
     // directions — any balance-preserving batch keeps the heavy edge cut
-    // (the LP engine correctly refuses to make things worse and leaves
-    // the cut at 15). FM's sequential re-evaluation fixes it: after
-    // moving vertex 2, vertex 3's gain vanishes and vertex 5 completes
-    // the swap → cut weight 2.
+    // (the LP correctly refuses to make things worse and leaves the cut
+    // at 15).
     let g = CsrGraph::from_weighted_edges(
         6,
         &[
@@ -213,21 +211,9 @@ fn weighted_edges_respected_by_refinement() {
     let old = Partitioning::from_assignment(&g, 2, vec![0, 0, 0, 1, 1, 1]);
     let inc = GraphDelta::default().apply(&g);
 
-    // LP engine: monotone (never worse), exactly balanced, but stuck.
+    // Monotone (never worse) and exactly balanced, but stuck.
     let (part_lp, _) = IncrementalPartitioner::igpr(IgpConfig::new(2)).repartition(&inc, &old);
     let m_lp = CutMetrics::compute(&g, &part_lp);
     assert_eq!(part_lp.count(0), 3, "LP preserves balance exactly");
     assert!(m_lp.total_cut_weight <= 15, "LP must not worsen the cut");
-
-    // FM engine: sequential re-evaluation completes the swap.
-    let mut cfg = IgpConfig::new(2);
-    cfg.refine.engine = igp::RefineEngine::Fm { slack: 1 };
-    let (part_fm, _) = IncrementalPartitioner::igpr(cfg).repartition(&inc, &old);
-    let m_fm = CutMetrics::compute(&g, &part_fm);
-    assert!(
-        m_fm.total_cut_weight <= 2,
-        "FM should fix the heavy edges: cut weight {}",
-        m_fm.total_cut_weight
-    );
-    assert_eq!(part_fm.count(0), 3);
 }
