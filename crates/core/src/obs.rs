@@ -1,4 +1,4 @@
-//! Core-layer metrics: repartition wall-clock per driver, simplex pivot
+//! Core-layer metrics: repartition wall-clock, simplex pivot
 //! totals, coalesced-batch sizes, edge-cut before/after, from-scratch
 //! signals. Registered into the global igp-obs registry (naming per
 //! DESIGN.md §10.1).
@@ -15,14 +15,11 @@ use igp_obs::{registry, Counter, Gauge, Histogram};
 /// All core-layer metric handles; one instance per process.
 pub struct CoreMetrics {
     /// `igp_core_repartition_us{driver="sequential"}` — wall time of one
-    /// sequential repartition.
-    pub repartition_us_seq: Arc<Histogram>,
-    /// `igp_core_repartition_us{driver="parallel"}`.
-    pub repartition_us_par: Arc<Histogram>,
-    /// `igp_core_repartitions_total{driver=…}`.
-    pub repartitions_total_seq: Arc<Counter>,
-    /// See [`Self::repartitions_total_seq`].
-    pub repartitions_total_par: Arc<Counter>,
+    /// session repartition. (The label predates the session's single
+    /// driver; it stays so scrapers keep matching the series.)
+    pub repartition_us: Arc<Histogram>,
+    /// `igp_core_repartitions_total{driver="sequential"}`.
+    pub repartitions_total: Arc<Counter>,
     /// `igp_core_pivots_total` — simplex pivots across all LP solves.
     pub pivots_total: Arc<Counter>,
     /// `igp_core_moved_vertices_total` — vertices moved by balancing +
@@ -46,25 +43,18 @@ pub fn metrics() -> &'static CoreMetrics {
     static M: OnceLock<CoreMetrics> = OnceLock::new();
     M.get_or_init(|| {
         let r = registry();
-        let rep_us = |driver: &str| {
-            r.histogram(
+        let driver = || vec![("driver", "sequential".to_string())];
+        CoreMetrics {
+            repartition_us: r.histogram(
                 "igp_core_repartition_us",
                 "Repartition wall time, all four phases (microseconds)",
-                vec![("driver", driver.to_string())],
-            )
-        };
-        let rep_n = |driver: &str| {
-            r.counter(
+                driver(),
+            ),
+            repartitions_total: r.counter(
                 "igp_core_repartitions_total",
                 "Incremental repartitions executed",
-                vec![("driver", driver.to_string())],
-            )
-        };
-        CoreMetrics {
-            repartition_us_seq: rep_us("sequential"),
-            repartition_us_par: rep_us("parallel"),
-            repartitions_total_seq: rep_n("sequential"),
-            repartitions_total_par: rep_n("parallel"),
+                driver(),
+            ),
             pivots_total: r.counter(
                 "igp_core_pivots_total",
                 "Simplex pivots across every LP solve",

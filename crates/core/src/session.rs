@@ -10,21 +10,18 @@
 //! balancing becomes infeasible.
 
 use crate::config::IgpConfig;
-use crate::parallel::ParallelPartitioner;
 use crate::partitioner::IncrementalPartitioner;
 use igp_graph::coalesce::{CoalesceError, DeltaCoalescer};
 use igp_graph::{CsrGraph, GraphDelta, IncrementalGraph, NodeId, Partitioning, INVALID_NODE};
-use igp_runtime::CostModel;
 
 // The serving layer hands sessions across threads (one registry shard
-// can be locked from any connection handler); keep every driver
-// configuration `Send` by construction.
+// can be locked from any connection handler); keep the session and its
+// driver `Send` by construction.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<IgpSession>();
     assert_send::<StepSummary>();
     assert_send::<IncrementalPartitioner>();
-    assert_send::<ParallelPartitioner>();
 };
 
 /// Summary of one session step.
@@ -45,73 +42,6 @@ pub struct StepSummary {
     /// False if capped balancing gave up (the paper's "it would be better
     /// to start partitioning from scratch" condition).
     pub balanced: bool,
-}
-
-/// The repartitioning engine behind a session: the sequential driver or
-/// the SPMD driver on whichever [`igp_runtime::Backend`] the config
-/// selects.
-enum Driver {
-    Sequential(IncrementalPartitioner),
-    Parallel(ParallelPartitioner),
-}
-
-impl Driver {
-    /// Repartition, reduced to the summary tuple the session tracks:
-    /// `(moved, stages, balanced, pivots)`.
-    fn repartition(
-        &self,
-        inc: &IncrementalGraph,
-        old: &Partitioning,
-    ) -> (Partitioning, u64, usize, bool, u64) {
-        match self {
-            Driver::Sequential(p) => {
-                let (part, report) = p.repartition(inc, old);
-                let pivots = report
-                    .balance
-                    .stages
-                    .iter()
-                    .map(|s| s.lp.pivots as u64)
-                    .chain(
-                        report
-                            .refine
-                            .iter()
-                            .flat_map(|r| r.iters.iter().map(|i| i.lp.pivots as u64)),
-                    )
-                    .sum();
-                (
-                    part,
-                    report.total_moved(),
-                    report.num_stages(),
-                    report.balance.balanced,
-                    pivots,
-                )
-            }
-            Driver::Parallel(p) => {
-                let (part, report) = p.repartition(inc, old);
-                (
-                    part,
-                    report.total_moved,
-                    report.stages,
-                    report.balanced,
-                    report.total_pivots,
-                )
-            }
-        }
-    }
-
-    fn obs_kind(&self) -> DriverKind {
-        match self {
-            Driver::Sequential(_) => DriverKind::Sequential,
-            Driver::Parallel(_) => DriverKind::Parallel,
-        }
-    }
-}
-
-/// Which metric series a step's timings land in.
-#[derive(Clone, Copy)]
-enum DriverKind {
-    Sequential,
-    Parallel,
 }
 
 /// A stateful incremental-repartitioning session.
@@ -136,7 +66,7 @@ enum DriverKind {
 pub struct IgpSession {
     graph: CsrGraph,
     part: Partitioning,
-    driver: Driver,
+    partitioner: IncrementalPartitioner,
     /// Steps taken over the session's whole lifetime; a rehydrated
     /// session continues from its seed's count, so step indices in
     /// summaries carry across restarts.
@@ -192,70 +122,28 @@ impl SessionSeed {
     }
 }
 
-fn sequential(cfg: IgpConfig, refined: bool) -> IncrementalPartitioner {
-    if refined {
-        IncrementalPartitioner::igpr(cfg)
-    } else {
-        IncrementalPartitioner::igp(cfg)
-    }
-}
-
-fn parallel(cfg: IgpConfig, refined: bool, workers: usize) -> ParallelPartitioner {
-    ParallelPartitioner::new(cfg, workers, refined, CostModel::cm5())
-}
-
 impl IgpSession {
     /// Start a session from an initial graph and a partitioning built on
     /// it (typically by RSB). `refined` selects IGPR vs IGP.
     pub fn new(graph: CsrGraph, part: Partitioning, cfg: IgpConfig, refined: bool) -> Self {
-        let num_parts = cfg.num_parts;
-        let driver = Driver::Sequential(sequential(cfg, refined));
-        Self::from_seed(SessionSeed::fresh(graph, part), num_parts, driver)
-    }
-
-    /// Start a session whose repartitioning runs the SPMD driver on
-    /// `workers` ranks over the substrate selected by `cfg.backend`
-    /// ([`igp_runtime::Backend::SimCm5`] or
-    /// [`igp_runtime::Backend::SharedMem`]).
-    pub fn new_parallel(
-        graph: CsrGraph,
-        part: Partitioning,
-        cfg: IgpConfig,
-        refined: bool,
-        workers: usize,
-    ) -> Self {
-        let num_parts = cfg.num_parts;
-        let driver = Driver::Parallel(parallel(cfg, refined, workers));
-        Self::from_seed(SessionSeed::fresh(graph, part), num_parts, driver)
+        Self::rehydrate(SessionSeed::fresh(graph, part), cfg, refined)
     }
 
     /// Resume a session from persisted state (crash recovery): the
     /// graph, partitioning, composed identity map and counters come
-    /// from a durability snapshot instead of a fresh start. `workers ==
-    /// 0` selects the sequential driver, otherwise the SPMD driver on
-    /// `cfg.backend` — the same rule the serving layer applies at open.
+    /// from a durability snapshot instead of a fresh start.
     ///
     /// The rehydrated session is observationally identical to the
     /// never-crashed one: step indices, [`IgpSession::steps`],
     /// [`IgpSession::total_moved`] and the from-scratch flag all
     /// continue where the snapshot left off, and subsequent
-    /// repartitions are bit-identical because every driver is
-    /// deterministic in (graph, partitioning, config).
-    pub fn rehydrate(seed: SessionSeed, cfg: IgpConfig, refined: bool, workers: usize) -> Self {
-        let num_parts = cfg.num_parts;
-        let driver = if workers == 0 {
-            Driver::Sequential(sequential(cfg, refined))
-        } else {
-            Driver::Parallel(parallel(cfg, refined, workers))
-        };
-        Self::from_seed(seed, num_parts, driver)
-    }
-
-    /// The one constructor: a fresh session is a seed with zeroed
-    /// counters and the identity map.
-    fn from_seed(seed: SessionSeed, num_parts: usize, driver: Driver) -> Self {
+    /// repartitions are bit-identical because the driver is
+    /// deterministic in (graph, partitioning, config). A fresh session
+    /// ([`IgpSession::new`]) is a seed with zeroed counters and the
+    /// identity map.
+    pub fn rehydrate(seed: SessionSeed, cfg: IgpConfig, refined: bool) -> Self {
         assert_eq!(seed.graph.num_vertices(), seed.part.num_vertices());
-        assert_eq!(seed.part.num_parts(), num_parts);
+        assert_eq!(seed.part.num_parts(), cfg.num_parts);
         assert_eq!(
             seed.base_of_current.len(),
             seed.graph.num_vertices(),
@@ -269,7 +157,11 @@ impl IgpSession {
         IgpSession {
             graph: seed.graph,
             part: seed.part,
-            driver,
+            partitioner: if refined {
+                IncrementalPartitioner::igpr(cfg)
+            } else {
+                IncrementalPartitioner::igp(cfg)
+            },
             steps: seed.steps,
             total_moved: seed.total_moved,
             last: None,
@@ -455,15 +347,24 @@ impl IgpSession {
     fn step(&mut self, inc: IncrementalGraph) -> StepSummary {
         let m = crate::obs::metrics();
         m.edge_cut_before.set(self.part.cut_edges() as i64);
-        let (rep_us, reps) = match self.driver.obs_kind() {
-            DriverKind::Sequential => (&m.repartition_us_seq, &m.repartitions_total_seq),
-            DriverKind::Parallel => (&m.repartition_us_par, &m.repartitions_total_par),
-        };
-        let (new_part, moved, stages, balanced, pivots) =
-            rep_us.time(|| self.driver.repartition(&inc, &self.part));
-        reps.inc();
-        m.pivots_total.add(pivots);
+        let (new_part, report) = m
+            .repartition_us
+            .time(|| self.partitioner.repartition(&inc, &self.part));
+        m.repartitions_total.inc();
+        let balance_lps = report.balance.stages.iter().map(|s| &s.lp);
+        let refine_lps = report
+            .refine
+            .iter()
+            .flat_map(|r| r.iters.iter().map(|i| &i.lp));
+        m.pivots_total.add(
+            balance_lps
+                .chain(refine_lps)
+                .map(|lp| lp.pivots as u64)
+                .sum(),
+        );
+        let moved = report.total_moved();
         m.moved_vertices_total.add(moved);
+        let balanced = report.balance.balanced;
         if !balanced {
             m.scratch_signals_total.inc();
         }
@@ -473,7 +374,7 @@ impl IgpSession {
             cut: new_part.cut_edges(),
             imbalance: new_part.count_imbalance(),
             moved,
-            stages,
+            stages: report.num_stages(),
             balanced,
         };
         m.edge_cut_after.set(summary.cut as i64);
@@ -571,26 +472,6 @@ mod tests {
         let fresh = Partitioning::round_robin(s.graph(), 2);
         s.reset_partitioning(fresh);
         assert!(!s.needs_scratch());
-    }
-
-    #[test]
-    fn parallel_session_on_both_backends() {
-        use igp_runtime::Backend;
-        for backend in Backend::ALL {
-            let g = generators::grid(8, 8);
-            let assign: Vec<PartId> = (0..64).map(|v| ((v % 8) / 2) as PartId).collect();
-            let part = Partitioning::from_assignment(&g, 4, assign);
-            let cfg = IgpConfig::new(4).with_backend(backend);
-            let mut s = IgpSession::new_parallel(g, part, cfg, true, 3);
-            for step in 0..3 {
-                let delta = generators::localized_growth_delta(s.graph(), 0, 8, step);
-                let sum = s.apply_delta(&delta);
-                assert!(sum.balanced, "{backend} step {step}");
-                assert!(sum.imbalance < 1.05, "{backend}");
-            }
-            assert_eq!(s.graph().num_vertices(), 64 + 24, "{backend}");
-            s.partitioning().validate(s.graph()).unwrap();
-        }
     }
 
     #[test]
@@ -754,7 +635,7 @@ mod tests {
         // "Crash" here: persist the seed, rebuild, replay the tail.
         let seed = full.seed();
         assert_eq!(seed.steps, 2);
-        let mut recovered = IgpSession::rehydrate(seed, IgpConfig::new(4), true, 0);
+        let mut recovered = IgpSession::rehydrate(seed, IgpConfig::new(4), true);
         assert!(recovered.last_step().is_none());
         for d in &deltas[2..] {
             let a = full.apply_delta(d);

@@ -1,5 +1,5 @@
-//! Readiness vocabulary shared by both selector backends: [`Token`],
-//! [`Interest`], [`Event`], and the reusable [`Events`] buffer.
+//! Readiness vocabulary: [`Token`], [`Interest`], [`Event`], and the
+//! reusable [`Events`] buffer.
 
 /// Opaque per-registration identifier, echoed back on every [`Event`].
 ///

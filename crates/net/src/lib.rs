@@ -3,9 +3,9 @@
 //! Three pieces, all std-only (syscalls bound directly in the private
 //! `sys` module, same offline stand-in discipline as the `vendor/` crates):
 //!
-//! * [`Poller`] — level-triggered readiness selector: `epoll(7)` on Linux,
-//!   `poll(2)` elsewhere. One loop thread registers nonblocking fds under
-//!   [`Token`]s and blocks in [`Poller::poll`] until something is ready.
+//! * [`Poller`] — level-triggered readiness selector over `epoll(7)`. One
+//!   loop thread registers nonblocking fds under [`Token`]s and blocks in
+//!   [`Poller::poll`] until something is ready.
 //! * [`Waker`] — self-pipe wakeup so *other* threads (worker pool, shutdown
 //!   callers) can interrupt that blocking poll, with an atomic dedup so a
 //!   burst of completions costs one wakeup.
@@ -16,15 +16,14 @@
 //! The API mirrors mio's shape (`register`/`reregister`/`deregister`,
 //! reusable [`Events`]) so the stand-in can be swapped for the real crate
 //! when a registry mirror is available; see `vendor/README.md` for the
-//! discipline. The `poll(2)` backend compiles and is unit-tested on Linux
-//! too, so CI proves both paths.
+//! discipline. Linux is the only target: CI runs nothing else.
 
-#[cfg(target_os = "linux")]
-pub(crate) mod epoll;
+#[cfg(not(target_os = "linux"))]
+compile_error!("igp-net is Linux-only: its selector is epoll(7)");
+
+mod epoll;
 mod event;
 mod poller;
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-pub(crate) mod pollset;
 mod pool;
 pub mod signal;
 mod sys;
@@ -38,66 +37,13 @@ pub use waker::Waker;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoll::Selector;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use std::os::fd::{AsRawFd, RawFd};
+    use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
-
-    /// Both selector backends behind one face so each test body runs twice.
-    trait Sel {
-        fn register(&self, fd: RawFd, token: usize, interest: Interest) -> std::io::Result<()>;
-        fn reregister(&self, fd: RawFd, token: usize, interest: Interest) -> std::io::Result<()>;
-        fn deregister(&self, fd: RawFd) -> std::io::Result<()>;
-        fn poll(
-            &mut self,
-            out: &mut Vec<Event>,
-            cap: usize,
-            timeout: Option<Duration>,
-        ) -> std::io::Result<()>;
-    }
-
-    #[cfg(target_os = "linux")]
-    impl Sel for crate::epoll::Selector {
-        fn register(&self, fd: RawFd, token: usize, interest: Interest) -> std::io::Result<()> {
-            crate::epoll::Selector::register(self, fd, token, interest)
-        }
-        fn reregister(&self, fd: RawFd, token: usize, interest: Interest) -> std::io::Result<()> {
-            crate::epoll::Selector::reregister(self, fd, token, interest)
-        }
-        fn deregister(&self, fd: RawFd) -> std::io::Result<()> {
-            crate::epoll::Selector::deregister(self, fd)
-        }
-        fn poll(
-            &mut self,
-            out: &mut Vec<Event>,
-            cap: usize,
-            timeout: Option<Duration>,
-        ) -> std::io::Result<()> {
-            crate::epoll::Selector::poll(self, out, cap, timeout)
-        }
-    }
-
-    impl Sel for crate::pollset::Selector {
-        fn register(&self, fd: RawFd, token: usize, interest: Interest) -> std::io::Result<()> {
-            crate::pollset::Selector::register(self, fd, token, interest)
-        }
-        fn reregister(&self, fd: RawFd, token: usize, interest: Interest) -> std::io::Result<()> {
-            crate::pollset::Selector::reregister(self, fd, token, interest)
-        }
-        fn deregister(&self, fd: RawFd) -> std::io::Result<()> {
-            crate::pollset::Selector::deregister(self, fd)
-        }
-        fn poll(
-            &mut self,
-            out: &mut Vec<Event>,
-            cap: usize,
-            timeout: Option<Duration>,
-        ) -> std::io::Result<()> {
-            crate::pollset::Selector::poll(self, out, cap, timeout)
-        }
-    }
 
     fn tcp_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -106,7 +52,9 @@ mod tests {
         (client, server)
     }
 
-    fn readiness_roundtrip(sel: &mut dyn Sel) {
+    #[test]
+    fn epoll_readiness_roundtrip() {
+        let mut sel = Selector::new().unwrap();
         let (mut client, server) = tcp_pair();
         server.set_nonblocking(true).unwrap();
         let fd = server.as_raw_fd();
@@ -143,7 +91,9 @@ mod tests {
         assert!(out.is_empty(), "deregistered fd still firing");
     }
 
-    fn hup_is_readable(sel: &mut dyn Sel) {
+    #[test]
+    fn epoll_hup_is_readable() {
+        let mut sel = Selector::new().unwrap();
         let (client, server) = tcp_pair();
         server.set_nonblocking(true).unwrap();
         let fd = server.as_raw_fd();
@@ -157,39 +107,6 @@ mod tests {
             "peer close must surface as readable so the loop reads EOF"
         );
         sel.deregister(fd).unwrap();
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_readiness_roundtrip() {
-        readiness_roundtrip(&mut crate::epoll::Selector::new().unwrap());
-    }
-
-    #[test]
-    fn pollset_readiness_roundtrip() {
-        readiness_roundtrip(&mut crate::pollset::Selector::new().unwrap());
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_hup_is_readable() {
-        hup_is_readable(&mut crate::epoll::Selector::new().unwrap());
-    }
-
-    #[test]
-    fn pollset_hup_is_readable() {
-        hup_is_readable(&mut crate::pollset::Selector::new().unwrap());
-    }
-
-    #[test]
-    fn pollset_duplicate_register_rejected() {
-        let sel = crate::pollset::Selector::new().unwrap();
-        let (_client, server) = tcp_pair();
-        let fd = server.as_raw_fd();
-        sel.register(fd, 1, Interest::READABLE).unwrap();
-        assert!(Sel::register(&sel, fd, 2, Interest::READABLE).is_err());
-        assert!(sel.deregister(fd).is_ok());
-        assert!(sel.deregister(fd).is_err());
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! [`Poller`]: the platform-selected readiness selector behind one API.
+//! [`Poller`]: the epoll selector behind a mio-shaped API.
 
 use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
 
+use crate::epoll::Selector;
 use crate::event::{Events, Interest, Token};
 
-#[cfg(target_os = "linux")]
-use crate::epoll::Selector;
-#[cfg(not(target_os = "linux"))]
-use crate::pollset::Selector;
-
-/// Level-triggered readiness poller — epoll on Linux, `poll(2)` elsewhere.
+/// Level-triggered readiness poller over epoll.
 ///
 /// Registrations borrow the fd, they do not own it: callers must
 /// [`Poller::deregister`] before (or at) close. All methods are intended for

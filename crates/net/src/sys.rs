@@ -3,43 +3,28 @@
 //! Offline stand-in discipline (see `vendor/README.md`): the container has no
 //! crates.io mirror, so instead of the `libc` crate this module declares the
 //! handful of bindings the poller needs directly against the platform C
-//! library. Constants and struct layouts follow the Linux UAPI headers
-//! (`<sys/epoll.h>`, `<poll.h>`); they are `pub(crate)` so the typed wrappers
-//! in [`crate::epoll`] / [`crate::pollset`] are the only consumers.
+//! library. Constants and struct layouts follow the Linux UAPI header
+//! `<sys/epoll.h>`; they are `pub(crate)` so the typed wrapper in
+//! [`crate::epoll`] is the only consumer.
 
 #![allow(non_camel_case_types)]
 
-use std::os::raw::{c_int, c_ulong};
+use std::os::raw::c_int;
 
-pub(crate) type nfds_t = c_ulong;
-
-// ---------------------------------------------------------------------------
-// epoll (Linux only)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
 pub(crate) const EPOLL_CLOEXEC: c_int = 0o2000000;
-#[cfg(target_os = "linux")]
 pub(crate) const EPOLL_CTL_ADD: c_int = 1;
-#[cfg(target_os = "linux")]
 pub(crate) const EPOLL_CTL_DEL: c_int = 2;
-#[cfg(target_os = "linux")]
 pub(crate) const EPOLL_CTL_MOD: c_int = 3;
 
-#[cfg(target_os = "linux")]
 pub(crate) const EPOLLIN: u32 = 0x001;
-#[cfg(target_os = "linux")]
 pub(crate) const EPOLLOUT: u32 = 0x004;
-#[cfg(target_os = "linux")]
 pub(crate) const EPOLLERR: u32 = 0x008;
-#[cfg(target_os = "linux")]
 pub(crate) const EPOLLHUP: u32 = 0x010;
 
 /// `struct epoll_event`. On x86/x86_64 the kernel declares it packed (the
 /// 64-bit `data` field sits at offset 4); every other architecture uses
 /// natural alignment. Fields are only ever copied out by value — never
 /// borrowed — so the packed repr cannot produce unaligned references.
-#[cfg(target_os = "linux")]
 #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
 #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
 #[derive(Clone, Copy)]
@@ -48,7 +33,6 @@ pub(crate) struct epoll_event {
     pub data: u64,
 }
 
-#[cfg(target_os = "linux")]
 extern "C" {
     pub(crate) fn epoll_create1(flags: c_int) -> c_int;
     pub(crate) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
@@ -60,34 +44,9 @@ extern "C" {
     ) -> c_int;
 }
 
-// ---------------------------------------------------------------------------
-// poll(2) (POSIX — the portable fallback selector, also unit-tested on Linux)
-// ---------------------------------------------------------------------------
-
-pub(crate) const POLLIN: i16 = 0x001;
-pub(crate) const POLLOUT: i16 = 0x004;
-pub(crate) const POLLERR: i16 = 0x008;
-pub(crate) const POLLHUP: i16 = 0x010;
-
-// On Linux the poll(2) backend is exercised only by unit tests (epoll is the
-// production selector), so its symbols look dead to release builds there.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub(crate) struct pollfd {
-    pub fd: c_int,
-    pub events: i16,
-    pub revents: i16,
-}
-
-extern "C" {
-    #[cfg_attr(target_os = "linux", allow(dead_code))]
-    pub(crate) fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
-}
-
-/// Clamp an optional wait to the millisecond argument `epoll_wait`/`poll`
-/// expect: `None` blocks forever (-1), sub-millisecond waits round *up* so a
-/// 100µs timer does not degenerate into a busy spin at 0ms.
+/// Clamp an optional wait to the millisecond argument `epoll_wait`
+/// expects: `None` blocks forever (-1), sub-millisecond waits round *up* so
+/// a 100µs timer does not degenerate into a busy spin at 0ms.
 pub(crate) fn timeout_ms(timeout: Option<std::time::Duration>) -> c_int {
     match timeout {
         None => -1,

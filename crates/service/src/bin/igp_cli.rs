@@ -3,8 +3,7 @@
 //! ```text
 //! igp-cli [--addr HOST:PORT] ping
 //! igp-cli [--addr HOST:PORT] open <sid> --parts P (--grid RxC | --metis FILE)
-//!                                 [--policy SPEC] [--workers N]
-//!                                 [--backend sim-cm5|shared-mem] [--init rsb|rr]
+//!                                 [--policy SPEC] [--init rsb|rr]
 //!                                 [--refined 0|1]
 //! igp-cli [--addr HOST:PORT] delta <sid> [av=…] [rv=…] [ae=…] [re=…]
 //! igp-cli [--addr HOST:PORT] flush|stat|part|close <sid>
@@ -436,16 +435,6 @@ fn cmd_open(addr: &str, mut args: Vec<String>) {
     let mut cfg = SessionConfig::new(parts);
     if let Some(p) = take_value(&mut args, "--policy") {
         cfg.policy = p.parse().unwrap_or_else(|e| fail(e));
-    }
-    if let Some(w) = take_value(&mut args, "--workers") {
-        cfg.workers = w
-            .parse()
-            .unwrap_or_else(|e| fail(format!("--workers: {e}")));
-    }
-    if let Some(b) = take_value(&mut args, "--backend") {
-        cfg.backend = b
-            .parse()
-            .unwrap_or_else(|_| fail(format!("bad --backend `{b}`")));
     }
     if let Some(i) = take_value(&mut args, "--init") {
         cfg.init = i.parse().unwrap_or_else(|e| fail(e));

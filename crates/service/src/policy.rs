@@ -193,8 +193,11 @@ impl FromStr for RepartitionPolicy {
                         .parse()
                         .map_err(|e| format!("bad cost:<iters>:<work>: {e}"))?;
                 }
-                if trig.solver_iters_per_delta <= 0.0 || trig.remap_work_per_vertex <= 0.0 {
-                    return Err("cost parameters must be positive".into());
+                // NaN and ∞ would never fire (`NaN >= x` is false) and
+                // cannot round-trip through the config line (NaN ≠ NaN).
+                let positive = |x: f64| x > 0.0 && x.is_finite();
+                if !positive(trig.solver_iters_per_delta) || !positive(trig.remap_work_per_vertex) {
+                    return Err("cost parameters must be positive numbers".into());
                 }
                 RepartitionPolicy::CostModelDriven(trig)
             }
@@ -302,6 +305,9 @@ mod tests {
             "every:0",
             "dirt:-1",
             "cost:0",
+            "cost:NaN",
+            "cost:inf",
+            "cost:10:NaN",
             "nope:3",
             "every:2:3",
         ] {

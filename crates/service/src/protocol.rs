@@ -8,8 +8,7 @@
 //!
 //! ```text
 //! PING
-//! OPEN <sid> parts=<p> [policy=<spec>] [refined=0|1] [workers=<n>]
-//!      [backend=<sim-cm5|shared-mem>] [init=<rsb|rr>]
+//! OPEN <sid> parts=<p> [policy=<spec>] [refined=0|1] [init=<rsb|rr>]
 //! DELTA <sid> [av=w,…] [rv=v,…] [ae=u:v:w,…] [re=u:v,…]
 //! FLUSH <sid>   STAT <sid>   PART <sid>   CLOSE <sid>   LIST   SHUTDOWN
 //! METRICS
@@ -20,6 +19,12 @@
 //! TRACE SLOW <threshold_us>
 //! STALL LOOP <ms> | STALL WORKER <ms>
 //! ```
+//!
+//! Every session runs the sequential IGPR/IGP driver. `OPEN` still
+//! accepts `workers=0` and `backend=sim-cm5|shared-mem` as no-ops: older
+//! clients send them and older stores' config lines carry them. Any
+//! `workers=<n ≥ 1>` asks for an SPMD session, which the daemon does not
+//! run, and is refused.
 //!
 //! `METRICS` is the other multi-line exception, on the response side:
 //! `OK metrics`, then the Prometheus-style text exposition, then a
@@ -132,7 +137,10 @@ pub const TRACE_DUMP_DEFAULT: usize = 32;
 pub const TRACE_DUMP_MAX: usize = 1024;
 
 /// Session ids are single tokens: no whitespace, printable, bounded.
-fn check_sid(sid: &str) -> Result<String, String> {
+/// A durable session's id names its directory under `--data-dir`, so
+/// an id must also be exactly one plain path component: with `/`
+/// excluded, that rules out only `.` and `..`.
+pub(crate) fn check_sid(sid: &str) -> Result<String, String> {
     if sid.is_empty() || sid.len() > 128 {
         return Err("session id must be 1..=128 characters".into());
     }
@@ -141,6 +149,9 @@ fn check_sid(sid: &str) -> Result<String, String> {
         .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | ':'))
     {
         return Err(format!("bad session id `{sid}` (alnum -_.: only)"));
+    }
+    if sid == "." || sid == ".." {
+        return Err(format!("bad session id `{sid}` (not a path component)"));
     }
     Ok(sid.to_string())
 }
@@ -281,20 +292,20 @@ pub fn parse_open_opts(opts: &[&str]) -> Result<SessionConfig, String> {
             "refined" => {
                 cfg.refined = parse_bool(value).map_err(|e| format!("bad refined: {e}"))?;
             }
+            // Legacy no-ops (see the module docs).
             "workers" => {
                 let w: usize = value.parse().map_err(|e| format!("bad workers: {e}"))?;
-                if w > crate::session::MAX_WORKERS {
+                if w != 0 {
                     return Err(format!(
-                        "workers={w} exceeds the per-session cap of {}",
-                        crate::session::MAX_WORKERS
+                        "workers={w}: the per-session parallel driver was removed; \
+                         sessions run sequentially (only workers=0 is accepted)"
                     ));
                 }
-                cfg.workers = w;
             }
             "backend" => {
-                cfg.backend = value
-                    .parse()
-                    .map_err(|_| format!("bad backend `{value}` (sim-cm5|shared-mem)"))?;
+                if !matches!(value, "sim-cm5" | "shared-mem") {
+                    return Err(format!("bad backend `{value}` (sim-cm5|shared-mem)"));
+                }
             }
             "init" => {
                 cfg.init = value.parse::<InitPartition>()?;
@@ -329,12 +340,10 @@ pub fn check_wire_representable(cfg: &SessionConfig) -> Result<(), String> {
 /// Encode `OPEN` options for a config (inverse of [`parse_open_opts`]).
 pub fn encode_open_opts(cfg: &SessionConfig) -> String {
     format!(
-        "parts={} policy={} refined={} workers={} backend={} init={}",
+        "parts={} policy={} refined={} init={}",
         cfg.parts,
         cfg.policy,
         u8::from(cfg.refined),
-        cfg.workers,
-        cfg.backend,
         cfg.init
     )
 }
@@ -452,12 +461,30 @@ mod tests {
         let mut cfg = SessionConfig::new(8);
         cfg.policy = RepartitionPolicy::DirtFraction(0.05);
         cfg.refined = false;
-        cfg.workers = 3;
-        cfg.backend = igp_runtime::Backend::SharedMem;
         cfg.init = InitPartition::RoundRobin;
         let enc = encode_open_opts(&cfg);
         let tokens: Vec<&str> = enc.split_ascii_whitespace().collect();
         assert_eq!(parse_open_opts(&tokens).unwrap(), cfg);
+    }
+
+    /// The config line every older client and store carries still
+    /// parses, to the same config; asking for SPMD workers does not.
+    #[test]
+    fn legacy_workers_and_backend_tokens() {
+        let legacy = "parts=4 policy=every:1 refined=1 workers=0 backend=sim-cm5 init=rr";
+        let tokens: Vec<&str> = legacy.split_ascii_whitespace().collect();
+        let mut want = SessionConfig::new(4);
+        want.init = InitPartition::RoundRobin;
+        assert_eq!(parse_open_opts(&tokens).unwrap(), want);
+        assert_eq!(
+            parse_open_opts(&["parts=4", "backend=shared-mem"]).unwrap(),
+            SessionConfig::new(4)
+        );
+        let err = parse_open_opts(&["parts=4", "workers=2"]).unwrap_err();
+        assert!(err.contains("removed"), "{err}");
+        for bad in ["workers=-1", "workers=x", "backend=gpu", "backend="] {
+            assert!(parse_open_opts(&["parts=4", bad]).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -514,8 +541,12 @@ mod tests {
             "OPEN",
             "OPEN s1", // missing parts
             "OPEN s1 parts=0",
-            "OPEN bad id parts=2",              // whitespace id → extra token
-            "OPEN s1 parts=2 workers=10000000", // above MAX_WORKERS
+            "OPEN bad id parts=2",       // whitespace id → extra token
+            "OPEN s1 parts=2 workers=3", // no SPMD sessions
+            "OPEN . parts=2",
+            "OPEN .. parts=2",
+            "CLOSE ..",
+            "REPL SYNC ..",
             "DELTA s1 av=x",
             "DELTA s1 ae=1:2",
             "FLUSH",

@@ -194,7 +194,13 @@ fn tick(
     }
     let cli = conn.as_mut().expect("connection just established");
     cli.ping()?; // heartbeat even when there are no sessions
-    let sids = cli.list()?;
+    let sids: Vec<String> = cli
+        .list()?
+        .into_iter()
+        // Each sid names a directory under our data_dir: never trust one
+        // the wire grammar would refuse (an older primary admitted `..`).
+        .filter(|sid| crate::protocol::check_sid(sid).is_ok())
+        .collect();
     // Sessions the primary closed (or never had) disappear here too —
     // a follower must not serve reads for state the primary deleted.
     for sid in ctx.registry.list() {

@@ -331,12 +331,13 @@ pub fn serve<A: ToSocketAddrs>(addr: A, opts: ServeOptions) -> io::Result<Server
         Some(l) => Some(l.local_addr()?),
         None => None,
     };
-    // Touch every layer's metric registration at boot so `METRICS`
-    // renders the full family set (zero-valued) before any traffic.
+    // Touch every serving layer's metric registration at boot so
+    // `METRICS` renders the full family set (zero-valued) before any
+    // traffic. The SPMD runtime's families stay library-only: no
+    // session runs that driver.
     let _ = crate::obs::metrics();
     let _ = igp_core::obs::metrics();
     let _ = igp_store::obs::metrics();
-    let _ = igp_runtime::obs::metrics();
     if let Some(us) = opts.slow_us {
         igp_obs::trace::set_slow_threshold_us(us);
     }

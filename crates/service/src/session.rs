@@ -13,7 +13,6 @@ use crate::ServiceError;
 use igp_core::session::{IgpSession, SessionSeed, StepSummary};
 use igp_core::IgpConfig;
 use igp_graph::{CsrGraph, GraphDelta, PartId, Partitioning};
-use igp_runtime::Backend;
 use igp_spectral::{recursive_spectral_bisection, RsbOptions};
 use igp_store::store::SessionState;
 use igp_store::{SessionStore, SnapshotPolicy, StoreError, StoreMeta, WalRecord};
@@ -53,12 +52,6 @@ impl FromStr for InitPartition {
     }
 }
 
-/// Upper bound on per-session SPMD workers: each repartition spawns
-/// this many OS threads, so the wire must not be able to request an
-/// arbitrary count ([`crate::protocol`] rejects larger values, and
-/// [`ServiceSession::open`] asserts it for in-process callers).
-pub const MAX_WORKERS: usize = 64;
-
 /// Per-session configuration carried by the `OPEN` request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionConfig {
@@ -66,12 +59,6 @@ pub struct SessionConfig {
     pub parts: usize,
     /// IGPR (LP refinement) vs plain IGP.
     pub refined: bool,
-    /// SPMD workers for the parallel driver; `0` = sequential driver,
-    /// at most [`MAX_WORKERS`].
-    pub workers: usize,
-    /// Execution substrate for the parallel driver (ignored when
-    /// `workers == 0`).
-    pub backend: Backend,
     /// Repartition trigger.
     pub policy: RepartitionPolicy,
     /// Initial partitioning method.
@@ -79,13 +66,11 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Defaults for `P` partitions: sequential IGPR, flush every delta.
+    /// Defaults for `P` partitions: IGPR, flush every delta.
     pub fn new(parts: usize) -> Self {
         SessionConfig {
             parts,
             refined: true,
-            workers: 0,
-            backend: Backend::SimCm5,
             policy: RepartitionPolicy::default(),
             init: InitPartition::default(),
         }
@@ -152,24 +137,14 @@ impl ServiceSession {
     /// Open a session on `graph` (computes the initial partitioning).
     pub fn open(graph: CsrGraph, cfg: SessionConfig) -> Self {
         assert!(cfg.parts >= 1, "need at least one partition");
-        assert!(
-            cfg.workers <= MAX_WORKERS,
-            "workers={} exceeds MAX_WORKERS={MAX_WORKERS}",
-            cfg.workers
-        );
         let part = match cfg.init {
             InitPartition::Rsb => {
                 recursive_spectral_bisection(&graph, cfg.parts, RsbOptions::default())
             }
             InitPartition::RoundRobin => Partitioning::round_robin(&graph, cfg.parts),
         };
-        let igp_cfg = IgpConfig::new(cfg.parts).with_backend(cfg.backend);
         let total_weight = graph.total_vertex_weight();
-        let session = if cfg.workers == 0 {
-            IgpSession::new(graph, part, igp_cfg, cfg.refined)
-        } else {
-            IgpSession::new_parallel(graph, part, igp_cfg, cfg.refined, cfg.workers)
-        };
+        let session = IgpSession::new(graph, part, IgpConfig::new(cfg.parts), cfg.refined);
         ServiceSession {
             session,
             cfg,
@@ -239,14 +214,12 @@ impl ServiceSession {
     }
 
     /// Rebuild a session from a recovery seed (see [`crate::durable`]):
-    /// same driver-selection rule as [`ServiceSession::open`], but the
-    /// graph, partitioning, identity map and counters come from the
-    /// snapshot instead of a fresh initial partitioning.
+    /// like [`ServiceSession::open`], but the graph, partitioning,
+    /// identity map and counters come from the snapshot instead of a
+    /// fresh initial partitioning.
     pub(crate) fn rehydrate(cfg: SessionConfig, seed: SessionSeed, deltas_received: usize) -> Self {
-        assert!(cfg.workers <= MAX_WORKERS);
-        let igp_cfg = IgpConfig::new(cfg.parts).with_backend(cfg.backend);
         let total_weight = seed.graph.total_vertex_weight();
-        let session = IgpSession::rehydrate(seed, igp_cfg, cfg.refined, cfg.workers);
+        let session = IgpSession::rehydrate(seed, IgpConfig::new(cfg.parts), cfg.refined);
         ServiceSession {
             session,
             cfg,

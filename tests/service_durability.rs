@@ -229,3 +229,52 @@ fn memory_only_mode_reports_no_wal_fields() {
     cli.shutdown().expect("shutdown");
     server.wait();
 }
+
+/// Regression: a durable session's id names its directory under the
+/// data dir, so `.` and `..` must not be session ids. `OPEN ..` used to
+/// answer `OK open` after deleting the data dir's parent tree (a
+/// sibling session and a file next to the data dir included); `OPEN .`
+/// deleted every session directory before failing.
+#[test]
+fn dot_session_ids_cannot_escape_the_data_dir() {
+    let parent = scratch_dir("dots");
+    let data = parent.join("data");
+    std::fs::create_dir_all(&data).unwrap();
+    let canary = parent.join("canary.txt");
+    std::fs::write(&canary, "keep").unwrap();
+    let base = generators::grid(4, 4);
+    let mut cfg = SessionConfig::new(2);
+    cfg.init = InitPartition::RoundRobin;
+
+    let server = serve("127.0.0.1:0", opts(&data)).expect("bind");
+    let mut cli = IgpClient::connect(server.addr()).expect("connect");
+    let a = cli.open("a", &base, &cfg).expect("open a");
+    for sid in ["..", "."] {
+        let err = cli.open(sid, &base, &cfg).unwrap_err();
+        assert!(
+            matches!(err, ClientError::Server { ref kind, .. } if kind == "proto"),
+            "OPEN {sid}: got {err:?}"
+        );
+        assert!(
+            canary.exists(),
+            "OPEN {sid} deleted a file outside the data dir"
+        );
+        assert!(
+            data.join("a").is_dir(),
+            "OPEN {sid} deleted a sibling session"
+        );
+    }
+    assert_eq!(cli.list().expect("list"), vec!["a".to_string()]);
+    drop(cli);
+    drop(server);
+
+    // The sibling's files are intact: a restart recovers it.
+    let server = serve("127.0.0.1:0", opts(&data)).expect("rebind");
+    let mut cli = IgpClient::connect(server.addr()).expect("reconnect");
+    assert_eq!(cli.list().expect("list"), vec!["a".to_string()]);
+    assert_eq!(cli.stat("a").expect("stat").n, a.n);
+    cli.shutdown().expect("shutdown");
+    server.wait();
+    assert_eq!(std::fs::read_to_string(&canary).unwrap(), "keep");
+    std::fs::remove_dir_all(&parent).ok();
+}

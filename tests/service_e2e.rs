@@ -7,7 +7,6 @@
 mod common;
 
 use igp::graph::{generators, CsrGraph, GraphDelta, PartId};
-use igp::runtime::Backend;
 use igp::service::client::{DeltaAck, IgpClient};
 use igp::service::server::{serve, ServeOptions};
 use igp::service::session::{Ingest, InitPartition, ServiceSession, SessionConfig};
@@ -30,11 +29,6 @@ fn scenario(i: usize) -> (CsrGraph, SessionConfig) {
     } else {
         InitPartition::RoundRobin
     };
-    // One session exercises the SPMD parallel driver over the wire.
-    if i == 2 {
-        cfg.workers = 3;
-        cfg.backend = Backend::SimCm5;
-    }
     // One uses plain IGP instead of IGPR.
     cfg.refined = i != 3;
     (base, cfg)
@@ -260,8 +254,10 @@ fn metrics_exposition_covers_all_layers() {
         );
     }
 
-    // Every layer's families render — the daemon touches each layer's
-    // metric struct at boot, so these exist even where still zero.
+    // Every serving layer's families render — the daemon touches each
+    // layer's metric struct at boot, so these exist even where still
+    // zero. The SPMD runtime's families are library-only: no session
+    // runs that driver, so the daemon never exposes them.
     for family in [
         "igp_service_requests_total",
         "igp_service_request_us",
@@ -283,16 +279,14 @@ fn metrics_exposition_covers_all_layers() {
         "igp_store_snapshot_us",
         "igp_store_recovery_us",
         "igp_store_recovery_truncations_total",
-        "igp_runtime_launches_total",
-        "igp_runtime_barrier_wait_us",
-        "igp_runtime_collective_us",
-        "igp_runtime_sim_makespan_us",
     ] {
         assert!(
             text.contains(&format!("# TYPE {family} ")),
             "family `{family}` missing from exposition:\n{text}"
         );
     }
+    assert!(!text.contains("igp_runtime_"), "{text}");
+    assert!(!text.contains("driver=\"parallel\""), "{text}");
 
     // Live values for the workload just driven (lower bounds).
     assert!(metric_value(&text, "igp_service_requests_total{verb=\"open\"}") >= 1.0);
@@ -301,7 +295,7 @@ fn metrics_exposition_covers_all_layers() {
     assert!(metric_value(&text, "igp_service_request_us_count{verb=\"delta\"}") >= N_DELTAS as f64);
     assert!(metric_value(&text, "igp_service_bytes_in_total") >= 1.0);
     assert!(metric_value(&text, "igp_service_bytes_out_total") >= 1.0);
-    // This session's sessions run the sequential driver (workers = 1).
+    // Every session runs the sequential driver.
     let seq = "igp_core_repartitions_total{driver=\"sequential\"}";
     assert!(metric_value(&text, seq) >= steps as f64);
     let seq_us = "igp_core_repartition_us_count{driver=\"sequential\"}";

@@ -9,11 +9,11 @@
 mod common;
 
 use igp::graph::{generators, CsrGraph, GraphDelta};
-use igp::service::durable::recover_session;
+use igp::service::durable::{recover_all, recover_session};
 use igp::service::session::{InitPartition, ServiceSession, SessionConfig};
-use igp::service::{RepartitionPolicy, SnapshotPolicy};
+use igp::service::{RepartitionPolicy, ServiceError, SnapshotPolicy};
 use igp::store::store::SessionState;
-use igp::store::{SessionStore, StoreError};
+use igp::store::{SessionStore, StoreError, StoreMeta};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -532,32 +532,72 @@ fn meta_io_error_is_not_mistaken_for_missing() {
     std::fs::remove_dir_all(&empty).ok();
 }
 
-/// The SPMD parallel driver recovers too: worker threads and backend
-/// state are reconstructed from config, not persisted.
+/// Stores written before the per-session SPMD driver was removed carry
+/// `workers=` / `backend=` in their config line. The exact line an
+/// older daemon wrote for a sequential session still recovers, to a
+/// session bit-identical to a fresh one; a line asking for SPMD workers
+/// is refused with a typed storage error, without taking its sibling
+/// down in `recover_all`.
 #[test]
-fn parallel_session_recovers_bit_identical() {
-    let dir = scratch_dir("parallel", 2);
+fn legacy_config_line_recovers_bit_identical() {
+    const LEGACY: &str = "parts=4 policy=every:1 refined=1 workers=0 backend=sim-cm5 init=rr";
+    let data = scratch_dir("legacy", 2);
     let base = generators::grid(8, 8);
-    let mut cfg = config(4, 1, true);
-    cfg.workers = 2;
-    let deltas = delta_stream(&base, 6, 99);
-    let mut durable = ServiceSession::open_durable(
-        base.clone(),
-        cfg.clone(),
-        &dir,
-        "w",
-        SnapshotPolicy::EveryK(3),
-    )
-    .expect("open durable");
-    let mut truth = ServiceSession::open(base, cfg);
-    feed(&mut durable, &deltas[..4], 0);
-    feed(&mut truth, &deltas[..4], 0);
-    drop(durable);
-    let rec = recover_session(&dir, SnapshotPolicy::EveryK(3)).expect("recover");
+    let cfg = config(4, 0, true);
+    let fresh = ServiceSession::open(base.clone(), cfg.clone());
+    for (sid, line) in [
+        ("old", LEGACY.to_string()),
+        ("spmd", LEGACY.replace("=0", "=2")),
+    ] {
+        SessionStore::create(
+            &data.join(sid),
+            StoreMeta {
+                sid: sid.into(),
+                config_line: line,
+            },
+            SnapshotPolicy::EveryK(3),
+            SessionState {
+                graph: fresh.inner().graph(),
+                part: fresh.inner().partitioning(),
+                base_of_current: fresh.inner().base_of_current(),
+                steps: 0,
+                total_moved: 0,
+                deltas_received: 0,
+                needs_scratch: false,
+            },
+        )
+        .expect("create store");
+    }
+
+    let Err(err) = recover_session(&data.join("spmd"), SnapshotPolicy::EveryK(3)) else {
+        panic!("a store asking for SPMD workers must not recover");
+    };
+    assert!(matches!(err, ServiceError::Storage(_)), "got: {err}");
+    assert!(err.to_string().contains("workers=2"), "got: {err}");
+    let (mut recovered, failures) =
+        recover_all(&data, SnapshotPolicy::EveryK(3)).expect("recover all");
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(failures[0].contains("spmd"), "{failures:?}");
+    assert_eq!(recovered.len(), 1);
+    let rec = recovered.pop().unwrap();
+    assert_eq!(rec.sid, "old");
     let mut recovered = rec.session;
-    assert_bit_identical(&recovered, &truth, "parallel at crash point");
-    feed(&mut recovered, &deltas[4..], 0);
+    assert_eq!(recovered.config(), &cfg);
+
+    let deltas = delta_stream(&base, 6, 99);
+    let mut truth = fresh;
+    assert_bit_identical(&recovered, &truth, "legacy at recovery");
+    feed(&mut recovered, &deltas[..4], 0);
+    feed(&mut truth, &deltas[..4], 0);
+    assert_bit_identical(&recovered, &truth, "legacy after replay");
+    // The recovered store journals on, and recovers again.
+    drop(recovered);
+    let mut again = recover_session(&data.join("old"), SnapshotPolicy::EveryK(3))
+        .expect("re-recover")
+        .session;
+    assert_bit_identical(&again, &truth, "legacy re-recovered");
+    feed(&mut again, &deltas[4..], 0);
     feed(&mut truth, &deltas[4..], 0);
-    assert_bit_identical(&recovered, &truth, "parallel after recovery");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_bit_identical(&again, &truth, "legacy after re-recovery");
+    std::fs::remove_dir_all(&data).ok();
 }
