@@ -113,7 +113,7 @@ pub fn run_sequence_experiment(seq: &MeshSequence, p: usize) -> (RowResult, Vec<
         });
 
         // IGP (sequential wall + modeled times).
-        let igp = IncrementalPartitioner::igp(IgpConfig::new(p));
+        let igp = IncrementalPartitioner::igp(IgpConfig::paper(p));
         let t = Instant::now();
         let (igp_part, igp_rep) = igp.repartition(inc, &old_part);
         let igp_wall = t.elapsed().as_secs_f64();
@@ -133,7 +133,7 @@ pub fn run_sequence_experiment(seq: &MeshSequence, p: usize) -> (RowResult, Vec<
         });
 
         // IGPR.
-        let igpr = IncrementalPartitioner::igpr(IgpConfig::new(p));
+        let igpr = IncrementalPartitioner::igpr(IgpConfig::paper(p));
         let t = Instant::now();
         let (igpr_part, igpr_rep) = igpr.repartition(inc, &old_part);
         let igpr_wall = t.elapsed().as_secs_f64();
@@ -172,7 +172,7 @@ pub fn model_time(
     workers: usize,
     refine: bool,
 ) -> f64 {
-    let pp = ParallelPartitioner::new(IgpConfig::new(p), workers, refine, CostModel::cm5());
+    let pp = ParallelPartitioner::new(IgpConfig::paper(p), workers, refine, CostModel::cm5());
     let (_, rep) = pp.repartition(inc, old);
     rep.sim.makespan
 }
@@ -217,7 +217,7 @@ pub fn run_speedup_experiment_on(
     let mut out = Vec::new();
     let mut base = None;
     for &w in worker_counts {
-        let cfg = IgpConfig::new(p).with_backend(backend);
+        let cfg = IgpConfig::paper(p).with_backend(backend);
         let pp = ParallelPartitioner::new(cfg, w, refine, CostModel::cm5());
         let (_, rep) = pp.repartition(inc, old);
         let t = rep.sim.makespan;

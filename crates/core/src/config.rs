@@ -22,11 +22,11 @@ pub enum CapPolicy {
 pub enum BalanceSolver {
     /// The simplex kernel on the LP with its caps restated as rows
     /// ([`igp_lp::LpModel::caps_as_rows`]) — the paper's solver, tableau
-    /// sizes and pivot counts.
+    /// sizes and pivot counts. The engine of [`IgpConfig::paper`].
     DenseSimplex,
     /// The same kernel on the LP as given, caps handled as native
     /// variable bounds: ~7× smaller tableau at P = 32 (the paper's "can
-    /// be substantially reduced").
+    /// be substantially reduced"). The engine of [`IgpConfig::new`].
     BoundedSimplex,
     /// Min-cost-flow / max-circulation network solvers.
     NetworkFlow,
@@ -68,7 +68,9 @@ pub struct IgpConfig {
     pub max_delta: u32,
     /// Refinement parameters (used by IGPR).
     pub refine: RefineConfig,
-    /// LP engine selection.
+    /// LP engine for both the balance and the refinement LP:
+    /// [`BalanceSolver::BoundedSimplex`] under [`IgpConfig::new`],
+    /// [`BalanceSolver::DenseSimplex`] under [`IgpConfig::paper`].
     pub solver: BalanceSolver,
     /// Execution substrate for the parallel driver
     /// ([`crate::ParallelPartitioner`]): the simulated CM-5 machine or
@@ -77,7 +79,7 @@ pub struct IgpConfig {
 }
 
 impl IgpConfig {
-    /// Defaults for `P` partitions.
+    /// Defaults for `P` partitions: both LPs on the bounded simplex.
     pub fn new(num_parts: usize) -> Self {
         assert!(num_parts >= 1);
         IgpConfig {
@@ -86,8 +88,18 @@ impl IgpConfig {
             max_stages: 8,
             max_delta: 16,
             refine: RefineConfig::default(),
-            solver: BalanceSolver::DenseSimplex,
+            solver: BalanceSolver::BoundedSimplex,
             backend: Backend::SimCm5,
+        }
+    }
+
+    /// The paper's configuration for `P` partitions: [`IgpConfig::new`]
+    /// on the dense simplex, so the figure reproductions keep the paper's
+    /// tableau sizes and pivot counts.
+    pub fn paper(num_parts: usize) -> Self {
+        IgpConfig {
+            solver: BalanceSolver::DenseSimplex,
+            ..Self::new(num_parts)
         }
     }
 
@@ -110,6 +122,18 @@ mod tests {
         assert!(c.max_stages >= 1);
         assert!(c.refine.max_iters >= 1);
         assert_eq!(c.backend, Backend::SimCm5);
+        assert_eq!(c.solver, BalanceSolver::BoundedSimplex);
+    }
+
+    #[test]
+    fn paper_differs_from_new_only_in_solver() {
+        let paper = IgpConfig::paper(32);
+        assert_eq!(paper.solver, BalanceSolver::DenseSimplex);
+        let new = IgpConfig {
+            solver: paper.solver,
+            ..IgpConfig::new(32)
+        };
+        assert_eq!(format!("{paper:?}"), format!("{new:?}"));
     }
 
     #[test]

@@ -134,7 +134,23 @@ pub fn read_metis(text: &str) -> Result<CsrGraph, ParseError> {
         ));
     }
 
-    let mut b = CsrBuilder::with_edge_capacity(n, m);
+    // Size nothing from the header alone: it may claim more than the
+    // text holds. Every vertex takes at least one byte (its line), and
+    // every edge at least four (a token and a separator on each of its
+    // two endpoint lines).
+    if n > NodeId::MAX as usize {
+        return Err(ParseError::BadHeader(format!(
+            "vertex count {n} exceeds the {} supported",
+            NodeId::MAX
+        )));
+    }
+    if n > text.len() {
+        return Err(ParseError::BadHeader(format!(
+            "vertex count {n} exceeds the {} bytes of input",
+            text.len()
+        )));
+    }
+    let mut b = CsrBuilder::with_edge_capacity(n, m.min(text.len() / 4));
     let mut seen_edges = 0usize;
     let mut v: NodeId = 0;
     for (lineno, line) in lines {
@@ -631,6 +647,24 @@ mod tests {
     fn header_edge_count_mismatch_rejected() {
         let text = "3 5\n2\n1 3\n2\n";
         assert!(matches!(read_metis(text), Err(ParseError::Inconsistent(_))));
+    }
+
+    #[test]
+    fn oversized_headers_are_typed_errors_not_aborts() {
+        // Each header once sized an allocation before a line was read:
+        // 10¹¹ vertex weights, a `usize::MAX`-length vector…
+        for text in ["100000000000 0\n", "18446744073709551615 0\n"] {
+            assert!(
+                matches!(read_metis(text), Err(ParseError::BadHeader(_))),
+                "{text:?}"
+            );
+        }
+        // …and 1.6 PB of edges: the reservation is bounded by the
+        // text, so the lines parse and the count check refuses.
+        assert!(matches!(
+            read_metis("2 100000000000000\n2\n1\n"),
+            Err(ParseError::Inconsistent(_))
+        ));
     }
 
     #[test]

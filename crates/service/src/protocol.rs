@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! PING
-//! OPEN <sid> parts=<p> [policy=<spec>] [refined=0|1] [init=<rsb|rr>]
+//! OPEN <sid> parts=<p ≤ 1024> [policy=<spec>] [refined=0|1] [init=<rsb|rr>]
 //! DELTA <sid> [av=w,…] [rv=v,…] [ae=u:v:w,…] [re=u:v,…]
 //! FLUSH <sid>   STAT <sid>   PART <sid>   CLOSE <sid>   LIST   SHUTDOWN
 //! METRICS
@@ -270,7 +270,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Parse `OPEN` options (`parts=` is mandatory).
+/// The largest `parts=` an `OPEN` may ask for: 32× the paper's P. A
+/// step allocates P × P tables, so an unbounded P is an allocation the
+/// client chooses. A limit, not a setting.
+pub const MAX_PARTS: usize = 1024;
+
+/// Parse `OPEN` options (`parts=` is mandatory, at most [`MAX_PARTS`]).
 pub fn parse_open_opts(opts: &[&str]) -> Result<SessionConfig, String> {
     let mut parts: Option<usize> = None;
     let mut cfg = SessionConfig::new(1);
@@ -283,6 +288,9 @@ pub fn parse_open_opts(opts: &[&str]) -> Result<SessionConfig, String> {
                 let p: usize = value.parse().map_err(|e| format!("bad parts: {e}"))?;
                 if p == 0 {
                     return Err("parts must be ≥ 1".into());
+                }
+                if p > MAX_PARTS {
+                    return Err(format!("parts={p} exceeds the limit of {MAX_PARTS}"));
                 }
                 parts = Some(p);
             }
@@ -541,6 +549,9 @@ mod tests {
             "OPEN",
             "OPEN s1", // missing parts
             "OPEN s1 parts=0",
+            // over MAX_PARTS, and over usize::MAX
+            "OPEN s1 parts=1025",
+            "OPEN s1 parts=18446744073709551616",
             "OPEN bad id parts=2",       // whitespace id → extra token
             "OPEN s1 parts=2 workers=3", // no SPMD sessions
             "OPEN . parts=2",

@@ -80,7 +80,7 @@ fn main() {
     );
     let mut t1 = None;
     for workers in [1usize, 2, 4, 8, 16, 32] {
-        let cfg = IgpConfig::new(parts).with_backend(backend);
+        let cfg = IgpConfig::paper(parts).with_backend(backend);
         let pp = ParallelPartitioner::new(cfg, workers, true, CostModel::cm5());
         let (part, rep) = pp.repartition(&inc, &old);
         assert!(rep.balanced);

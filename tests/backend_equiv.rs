@@ -289,7 +289,10 @@ fn sim_cm5_reports_unchanged_since_seed() {
     ];
     let (old, inc) = grid_scenario(8, 4, 20, 123);
     for g in &goldens {
-        let (part, rep) = run_backend(Backend::SimCm5, &old, &inc, 4, g.workers, g.refine);
+        // The paper path: the dense simplex, as the E3 reproduction runs it.
+        let pp =
+            ParallelPartitioner::new(IgpConfig::paper(4), g.workers, g.refine, CostModel::cm5());
+        let (part, rep) = pp.repartition(&inc, &old);
         let tag = format!("w={} refine={}", g.workers, g.refine);
         assert_eq!(rep.sim.makespan, g.makespan, "makespan drift: {tag}");
         assert_eq!(rep.sim.total_messages, g.messages, "message drift: {tag}");

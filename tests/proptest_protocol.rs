@@ -6,7 +6,8 @@
 //!   parsing it back gives the same config, and
 //!   `check_wire_representable` accepts it;
 //! * every accepted session id is exactly one plain path component (a
-//!   durable session's id names its directory under the data dir).
+//!   durable session's id names its directory under the data dir);
+//! * no accepted `OPEN` asks for more than `MAX_PARTS` partitions.
 //!
 //! Failure seeds persist to `tests/regressions/`.
 
@@ -14,7 +15,7 @@ mod common;
 
 use common::Lcg;
 use igp::service::protocol::{
-    check_wire_representable, encode_open_opts, parse_open_opts, parse_request, Request,
+    check_wire_representable, encode_open_opts, parse_open_opts, parse_request, Request, MAX_PARTS,
 };
 use proptest::prelude::*;
 use std::ffi::OsStr;
@@ -123,8 +124,13 @@ fn soup_token(rng: &mut Lcg) -> String {
 
 /// `OPEN <sid> parts=…` plus a random subset of the options, each with
 /// a well-formed value most of the time and a hostile one otherwise.
+/// One `parts=` in eight lands within 64 of `MAX_PARTS`, on either side.
 fn open_line(rng: &mut Lcg) -> String {
-    let mut line = format!("OPEN {} parts={}", sid(rng), 1 + rng.below(64));
+    let parts = match rng.below(8) {
+        0 => MAX_PARTS - 63 + rng.below(128),
+        _ => 1 + rng.below(64),
+    };
+    let mut line = format!("OPEN {} parts={parts}", sid(rng));
     for key in ["policy", "refined", "workers", "backend", "init"] {
         if rng.below(2) == 0 {
             continue;
@@ -164,6 +170,7 @@ fn check_line(line: &str) -> Result<(), TestCaseError> {
         );
     }
     if let Request::Open { sid, cfg } = &req {
+        prop_assert!(cfg.parts <= MAX_PARTS, "{line:?} accepted over the cap");
         let enc = encode_open_opts(cfg);
         let tokens: Vec<&str> = enc.split_ascii_whitespace().collect();
         prop_assert_eq!(
@@ -204,7 +211,7 @@ proptest! {
 
 /// The generators reach the accepting paths the properties are about:
 /// a healthy share of generated `OPEN` lines parse, including legacy
-/// `workers=0` / `backend=` ones.
+/// `workers=0` / `backend=` ones, and `parts=` crosses `MAX_PARTS`.
 #[test]
 fn open_generator_reaches_accepted_lines() {
     let mut rng = Lcg::new(0x9e37);
@@ -214,4 +221,11 @@ fn open_generator_reaches_accepted_lines() {
     assert!(accepted.iter().any(|l| l.contains("workers=0")));
     assert!(accepted.iter().any(|l| l.contains("backend=shared-mem")));
     assert!(accepted.iter().any(|l| l.contains("policy=cost:")));
+    // `parts=` reaches both sides of the cap.
+    let parts = |l: &str| -> usize {
+        let v = l.split_once("parts=").unwrap().1;
+        v.split(' ').next().unwrap().parse().unwrap()
+    };
+    assert!(accepted.iter().any(|l| parts(l) > 64));
+    assert!(lines.iter().any(|l| parts(l) > MAX_PARTS));
 }

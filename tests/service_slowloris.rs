@@ -156,3 +156,57 @@ fn slow_graph_upload_respects_cap_incrementally() {
         assert_eq!(n, 0, "daemon must drop an over-cap upload");
     }
 }
+
+/// Write `script` on a fresh connection and return the first `n` reply
+/// lines.
+fn exchange(addr: std::net::SocketAddr, script: &str, n: usize) -> Vec<String> {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    conn.write_all(script.as_bytes()).expect("write");
+    let mut r = BufReader::new(conn);
+    (0..n)
+        .map(|_| {
+            let mut line = String::new();
+            r.read_line(&mut line).expect("read");
+            line.trim_end().to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn oversized_graph_headers_answer_err_graph_not_abort() {
+    // Each header alone once sized an allocation before a vertex line
+    // was read: 1.6 PB of edges and 10¹¹ vertex weights aborted the
+    // process, `usize::MAX` vertices panicked the worker.
+    let server = serve("127.0.0.1:0", ServeOptions::default()).expect("bind");
+    for (i, header) in [
+        "2 100000000000000",
+        "100000000000 0",
+        "18446744073709551615 0",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let script = format!("OPEN h{i} parts=2\n{header}\nEND\nPING\n");
+        let replies = exchange(server.addr(), &script, 2);
+        assert!(replies[0].starts_with("ERR graph"), "{header}: {replies:?}");
+        assert_eq!(replies[1], "PONG", "{header}");
+    }
+    assert_eq!(exchange(server.addr(), "PING\n", 1), ["PONG"]);
+}
+
+#[test]
+fn oversized_parts_is_refused_not_allocated() {
+    // parts=200000 over 200k isolated vertices: the first step would
+    // allocate P × P tables (160 GB) and abort the process.
+    let server = serve("127.0.0.1:0", ServeOptions::default()).expect("bind");
+    let n = 200_000;
+    let mut script = format!("OPEN big parts={n} init=rr policy=every:1\n{n} 0\n");
+    script.push_str(&"\n".repeat(n));
+    script.push_str("END\nDELTA big av=1\nPING\n");
+    let replies = exchange(server.addr(), &script, 3);
+    assert!(replies[0].starts_with("ERR proto"), "{replies:?}");
+    assert!(replies[1].starts_with("ERR "), "{replies:?}");
+    assert_eq!(replies[2], "PONG");
+}

@@ -12,7 +12,15 @@
 //!   five steps earlier coarsened back): `V₁`, `V₂`, `E₁`, `E₂` all
 //!   non-empty. Driven through [`IgpSession::apply_delta`] *and*, on the
 //!   same inputs, through `GraphDelta::apply` +
-//!   [`IncrementalPartitioner::repartition`], which must agree.
+//!   [`IncrementalPartitioner::repartition`], which must agree. `WINDOW`
+//!   runs it on the paper's engine ([`IgpConfig::paper`], the dense
+//!   simplex) and is the table captured at 8050a4a.
+//! * **window, serving** — the same stream under [`IgpConfig::new`], the
+//!   engine every session serves on (the bounded simplex). A different
+//!   engine returns a different optimal vertex of the same LP, so the
+//!   partitions differ from `WINDOW` while staying balanced; this second
+//!   table, `WINDOW_SERVING`, pins the serving default the same way.
+//!   It was captured when the default moved to the bounded simplex.
 //! * **star** — `paper_sequence_b(1)`'s four increments (+48, +139, +229,
 //!   +672 on 10166 nodes, multi-stage balancing) under each of the three
 //!   balance engines: 12 rows. The base partition is recursive coordinate
@@ -89,6 +97,58 @@ const WINDOW: &[Row] = &[
     (1171, 706, 15, 1, 219, 0xfd3f4475d8b371f8),
     (1171, 711, 28, 1, 213, 0x04e381a7c0bebfef),
     (1171, 699, 42, 1, 247, 0x1b6ad71370b893c1),
+];
+
+#[rustfmt::skip]
+const WINDOW_SERVING: &[Row] = &[
+    (1091, 673, 70, 1, 166, 0x1782ddcfd7b2c1a5),
+    (1111, 681, 107, 1, 214, 0xb131ef724cc7ece2),
+    (1131, 705, 73, 1, 249, 0x55c4e3d9ef638b6f),
+    (1151, 703, 376, 1, 381, 0x38612724d6689c4a),
+    (1171, 712, 49, 1, 155, 0x9f45469cd4d90796),
+    (1171, 742, 52, 1, 156, 0x808e3f93e2535bdd),
+    (1171, 745, 28, 1, 186, 0x8e084d010e812404),
+    (1171, 749, 15, 1, 139, 0xc4d68132aadfafe5),
+    (1171, 708, 186, 1, 283, 0xbc11422a675505b8),
+    (1171, 713, 93, 1, 209, 0xe2497627843a8c40),
+    (1171, 734, 93, 1, 225, 0xda1786f53cccdc72),
+    (1171, 749, 51, 1, 104, 0xdd6b4ecb48ee3640),
+    (1171, 745, 41, 1, 74, 0xcb13b5567972c4c0),
+    (1171, 745, 63, 1, 192, 0x91a9699479cc90d0),
+    (1171, 739, 46, 1, 215, 0xe7f22f2a6462ec8a),
+    (1171, 750, 43, 1, 137, 0x4059f59ecd95df33),
+    (1171, 741, 36, 1, 180, 0xad0eddc0ad077c6a),
+    (1171, 746, 20, 1, 92, 0x65fec6222181d481),
+    (1171, 739, 20, 1, 139, 0x0506cae1ac7efd20),
+    (1171, 741, 29, 1, 204, 0x12d95c0e5a7f758f),
+    (1171, 739, 39, 1, 213, 0xba76127c0cf35398),
+    (1171, 746, 52, 1, 135, 0xb5697ef75f6bc408),
+    (1171, 744, 51, 1, 229, 0x516f1c01d81a6ea3),
+    (1171, 745, 72, 1, 207, 0xbcc3525af2eb83b3),
+    (1171, 744, 41, 1, 157, 0x12e858a372e6f886),
+    (1171, 736, 58, 1, 230, 0xa34643a4f32a6fd6),
+    (1171, 738, 55, 1, 218, 0x6bacb67e139d77f2),
+    (1171, 746, 59, 1, 147, 0xbc7acf34c4664800),
+    (1171, 739, 59, 1, 195, 0xdc624f886e01aed0),
+    (1171, 735, 69, 1, 184, 0xb0aed9a86f0bb9dd),
+    (1171, 697, 224, 1, 279, 0xd898a51f33b50823),
+    (1171, 711, 10, 1, 85, 0x1fa6bb8c29664440),
+    (1171, 698, 46, 1, 180, 0xc56d82cdad5a8584),
+    (1171, 707, 43, 1, 188, 0xf252bef2aad41c75),
+    (1171, 716, 66, 1, 204, 0x34d8e73f745cb0c7),
+    (1171, 710, 98, 1, 222, 0x0fa7014139856cf3),
+    (1171, 724, 91, 1, 233, 0xaf2291934606f0f6),
+    (1171, 740, 65, 1, 158, 0x99fa6d537e2d5ce6),
+    (1171, 744, 80, 1, 171, 0x95f5fc64a6314ac3),
+    (1171, 736, 25, 1, 139, 0xb5579092ade8db06),
+    (1171, 726, 48, 1, 186, 0x030c2dcd36a04a1f),
+    (1171, 731, 59, 1, 183, 0x5a37a946253ac45f),
+    (1171, 740, 60, 1, 148, 0xe847b4a8b3fccc67),
+    (1171, 733, 128, 1, 219, 0x626265f9ea5962d7),
+    (1171, 684, 161, 1, 236, 0x2781dde42dfa05c7),
+    (1171, 692, 8, 1, 73, 0xfe53182f54b9b405),
+    (1171, 705, 18, 1, 100, 0x7eb673d3f35f4254),
+    (1171, 710, 28, 1, 167, 0x953e26ebb1ae126a),
 ];
 
 #[rustfmt::skip]
@@ -232,14 +292,14 @@ fn window_stream(n0: usize, steps: usize, seed: u64) -> (CsrGraph, Vec<GraphDelt
     (base, deltas)
 }
 
-#[test]
-fn window_stream_steps_unchanged() {
+/// The window stream's rows under `cfg`, each step driven through the
+/// session and through the library entry point, which must agree.
+fn window_rows(cfg: IgpConfig) -> Vec<Row> {
     let (base, deltas) = window_stream(1071, 48, 1);
     let last = deltas.last().unwrap();
     assert!(!last.add_vertices.is_empty() && !last.remove_vertices.is_empty());
     assert!(!last.add_edges.is_empty() && !last.remove_edges.is_empty());
     let part = recursive_spectral_bisection(&base, PARTS, RsbOptions::default());
-    let cfg = IgpConfig::new(PARTS);
     let igpr = IncrementalPartitioner::igpr(cfg.clone());
     let mut session = IgpSession::new(base, part, cfg, true);
     let mut got = Vec::with_capacity(deltas.len());
@@ -268,7 +328,21 @@ fn window_stream_steps_unchanged() {
         );
         assert!(summary.balanced, "step {i}");
     }
-    check("WINDOW", &got, WINDOW);
+    got
+}
+
+#[test]
+fn window_stream_steps_unchanged() {
+    check("WINDOW", &window_rows(IgpConfig::paper(PARTS)), WINDOW);
+}
+
+#[test]
+fn window_stream_serving_steps_unchanged() {
+    check(
+        "WINDOW_SERVING",
+        &window_rows(IgpConfig::new(PARTS)),
+        WINDOW_SERVING,
+    );
 }
 
 #[test]
