@@ -14,7 +14,7 @@
 //! small.
 
 use crate::config::{BalanceSolver, CapPolicy, IgpConfig};
-use crate::layer::{layer_partitions, Layering};
+use crate::layer::{layer_partitions, LayerCarry, Layering};
 use igp_graph::{CsrGraph, NodeId, PartId, Partitioning, NO_PART};
 use igp_lp::{flow, LpError, LpModel};
 use igp_runtime::{Executor, Solo};
@@ -239,6 +239,20 @@ pub fn adjacency_pairs(g: &CsrGraph, assign: &[PartId], p: usize) -> Vec<(PartId
 
 /// Run the full multi-stage balancing phase, mutating `part` in place.
 pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> BalanceOutcome {
+    let layer = |assign: &[PartId]| layer_partitions(g, assign, cfg.num_parts);
+    balance_from(g, part, cfg, layer).0
+}
+
+/// [`balance`] with the first stage's layering taken from `first_layer`
+/// (which must return [`layer_partitions`] of the assignment it is given).
+/// Also hands back that layering with its assignment; `None` when no
+/// stage got as far as its LP.
+pub(crate) fn balance_from(
+    g: &CsrGraph,
+    part: &mut Partitioning,
+    cfg: &IgpConfig,
+    first_layer: impl FnOnce(&[PartId]) -> Layering,
+) -> (BalanceOutcome, Option<LayerCarry>) {
     let p = cfg.num_parts;
     debug_assert_eq!(part.num_parts(), p);
     let targets = integer_targets(part.counts());
@@ -248,8 +262,10 @@ pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> Balanc
         total_moved: 0,
         work: 0,
     };
+    let mut first_layer = Some(first_layer);
+    let mut carry = None;
 
-    for _stage in 0..cfg.max_stages {
+    for stage in 0..cfg.max_stages {
         let surplus: Vec<i64> = (0..p)
             .map(|q| part.count(q as PartId) as i64 - targets[q])
             .collect();
@@ -258,7 +274,10 @@ pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> Balanc
             break;
         }
         let assign = part.assignment().to_vec();
-        let layering = layer_partitions(g, &assign, p);
+        let layering = match first_layer.take() {
+            Some(f) => f(&assign),
+            None => layer_partitions(g, &assign, p),
+        };
         out.work += layering.work;
 
         // Variables: movable pairs under the cap policy.
@@ -310,6 +329,9 @@ pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> Balanc
                 Err(e) => panic!("balance LP failed unexpectedly: {e}"),
             }
         }
+        if stage == 0 {
+            carry = Some(LayerCarry::new(assign, layering));
+        }
         if !applied {
             break; // no δ feasible or zero movement — report unbalanced
         }
@@ -320,7 +342,7 @@ pub fn balance(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> Balanc
         let surplus_zero = (0..p).all(|q| part.count(q as PartId) as i64 == targets[q]);
         out.balanced = surplus_zero;
     }
-    out
+    (out, carry)
 }
 
 /// Apply LP movement counts: drain `l[k]` vertices from bucket `(i → j)`

@@ -12,10 +12,10 @@
 //! and per-vertex `(tag, level)` so the balancing phase can drain vertices
 //! in boundary-first order.
 
-use igp_graph::{CsrGraph, NodeId, PartId, NO_PART};
+use igp_graph::{CsrGraph, GraphDelta, IncrementalGraph, NodeId, PartId, INVALID_NODE, NO_PART};
 
 /// Result of layering all partitions.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Layering {
     /// Number of partitions.
     pub num_parts: usize,
@@ -181,6 +181,116 @@ pub fn layer_owned(
     }
     out.work = out.part_work.iter().sum();
     out
+}
+
+/// A layering kept across one increment, with the assignment it was
+/// computed on.
+///
+/// A partition's tags, levels, λ row and edge-scan work depend only on
+/// its members, their rows, and the partitions of their neighbours. An
+/// increment and the moves made since the layering change those inputs
+/// for a few partitions only; [`LayerCarry::relayer`] re-sweeps those and
+/// copies every other partition's labels across the increment.
+#[derive(Clone, Debug)]
+pub struct LayerCarry {
+    assign: Vec<PartId>,
+    layering: Layering,
+}
+
+impl LayerCarry {
+    /// Keep `layering`, the layering of `assign`.
+    pub fn new(assign: Vec<PartId>, layering: Layering) -> Self {
+        debug_assert_eq!(assign.len(), layering.tag.len());
+        LayerCarry { assign, layering }
+    }
+
+    /// The layering of `assign` on `inc.new_graph()`: equal to
+    /// [`layer_partitions`] on it, computed by re-sweeping only the
+    /// partitions whose inputs may differ.
+    ///
+    /// The carried layering belongs to `inc.old()`, and `delta` is the
+    /// edit list `inc` was built from. A partition is *dirty* if it
+    /// holds, under the carried assignment or under `assign`:
+    /// * a vertex the delta names in an edge (its row changed);
+    /// * a vertex added, removed, or in another partition than the
+    ///   carried assignment put it (the members changed), or a
+    ///   neighbour of one (a neighbour's partition changed).
+    ///
+    /// Every clean partition has the same members, rows and neighbour
+    /// partitions on both sides, so its labels, λ row and work carry
+    /// over unchanged.
+    pub fn relayer(
+        &self,
+        inc: &IncrementalGraph,
+        delta: &GraphDelta,
+        assign: &[PartId],
+    ) -> Layering {
+        let (old, g) = (inc.old(), inc.new_graph());
+        let p = self.layering.num_parts;
+        assert_eq!(
+            self.assign.len(),
+            old.num_vertices(),
+            "carry is of another graph"
+        );
+        let mut dirty = vec![false; p];
+        // The partitions holding old vertex `v` on either side.
+        let mut hold = |v: NodeId| {
+            dirty[self.assign[v as usize] as usize] = true;
+            let nv = inc.new_of_old(v);
+            if nv != INVALID_NODE {
+                dirty[assign[nv as usize] as usize] = true;
+            }
+        };
+        let n_old = old.num_vertices() as NodeId;
+        let ends = delta.add_edges.iter().map(|&(u, v, _)| (u, v));
+        for (u, v) in ends.chain(delta.remove_edges.iter().copied()) {
+            for w in [u, v].into_iter().filter(|&w| w < n_old) {
+                hold(w);
+            }
+        }
+        let moved = old.vertices().filter(|&v| {
+            let nv = inc.new_of_old(v);
+            nv != INVALID_NODE && assign[nv as usize] != self.assign[v as usize]
+        });
+        for v in delta.remove_vertices.iter().copied().chain(moved) {
+            hold(v);
+            for &u in old.neighbors(v) {
+                hold(u);
+            }
+        }
+        for v in g.vertices().filter(|&v| inc.is_added(v)) {
+            dirty[assign[v as usize] as usize] = true;
+            for &u in g.neighbors(v) {
+                dirty[assign[u as usize] as usize] = true;
+            }
+        }
+        if dirty.iter().all(|&d| d) {
+            return layer_partitions(g, assign, p);
+        }
+
+        let mut out = layer_owned(g, assign, p, |i| dirty[i as usize]);
+        let prev = &self.layering;
+        for v in g.vertices() {
+            if !dirty[assign[v as usize] as usize] {
+                // A clean partition holds no added vertex.
+                let o = inc.old_of_new(v) as usize;
+                out.tag[v as usize] = prev.tag[o];
+                out.level[v as usize] = prev.level[o];
+            }
+        }
+        for i in (0..p).filter(|&i| !dirty[i]) {
+            let row = i * p..(i + 1) * p;
+            out.lambda[row.clone()].copy_from_slice(&prev.lambda[row]);
+            out.part_work[i] = prev.part_work[i];
+        }
+        out.work = out.part_work.iter().sum();
+        debug_assert_eq!(
+            out,
+            layer_partitions(g, assign, p),
+            "carried layering differs from the full sweep"
+        );
+        out
+    }
 }
 
 #[cfg(test)]

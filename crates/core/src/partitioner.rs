@@ -1,12 +1,13 @@
 //! The sequential Incremental Graph Partitioner driver (IGP / IGPR).
 
-use crate::assign::assign_new_vertices;
-use crate::balance::balance;
+use crate::assign::{assign_new_vertices, AssignReport};
+use crate::balance::{balance_from, BalanceOutcome};
 use crate::config::IgpConfig;
-use crate::refine::refine;
+use crate::layer::{layer_partitions, LayerCarry, Layering};
+use crate::refine::{refine, RefineOutcome};
 use crate::report::{IgpReport, PhaseTimings};
 use igp_graph::metrics::CutMetrics;
-use igp_graph::{IncrementalGraph, Partitioning};
+use igp_graph::{IncrementalGraph, PartId, Partitioning};
 use std::time::Instant;
 
 /// The paper's incremental partitioner.
@@ -70,6 +71,32 @@ impl IncrementalPartitioner {
         inc: &IncrementalGraph,
         old_part: &Partitioning,
     ) -> (Partitioning, IgpReport) {
+        let g = inc.new_graph();
+        let (part, phases, _) = self.run(inc, old_part, |assign| {
+            layer_partitions(g, assign, self.cfg.num_parts)
+        });
+        let metrics = CutMetrics::compute(g, &part);
+        let report = IgpReport {
+            assign: phases.assign,
+            balance: phases.balance,
+            refine: phases.refine,
+            timings: phases.timings,
+            metrics,
+        };
+        (part, report)
+    }
+
+    /// The four phases of [`IncrementalPartitioner::repartition`], without
+    /// the closing cut recount: the first balancing stage layers with
+    /// `first_layer` (which must equal [`layer_partitions`] of the
+    /// assignment it is given), and that layering comes back with its
+    /// assignment when a stage ran.
+    pub(crate) fn run(
+        &self,
+        inc: &IncrementalGraph,
+        old_part: &Partitioning,
+        first_layer: impl FnOnce(&[PartId]) -> Layering,
+    ) -> (Partitioning, Phases, Option<LayerCarry>) {
         assert_eq!(
             old_part.num_vertices(),
             inc.old().num_vertices(),
@@ -84,15 +111,15 @@ impl IncrementalPartitioner {
         let mut timings = PhaseTimings::default();
 
         let t = Instant::now();
-        let (assign_vec, assign_report) = assign_new_vertices(inc, old_part);
+        let (assign_vec, assign) = assign_new_vertices(inc, old_part);
         let mut part = Partitioning::from_assignment(g, self.cfg.num_parts, assign_vec);
         timings.assign = t.elapsed();
 
         let t = Instant::now();
-        let balance_outcome = balance(g, &mut part, &self.cfg);
+        let (balance, carry) = balance_from(g, &mut part, &self.cfg, first_layer);
         timings.balance = t.elapsed();
 
-        let refine_outcome = if self.with_refinement {
+        let refine = if self.with_refinement {
             let t = Instant::now();
             let r = refine(g, &mut part, &self.cfg);
             timings.refine = t.elapsed();
@@ -100,16 +127,28 @@ impl IncrementalPartitioner {
         } else {
             None
         };
-
-        let metrics = CutMetrics::compute(g, &part);
-        let report = IgpReport {
-            assign: assign_report,
-            balance: balance_outcome,
-            refine: refine_outcome,
+        let phases = Phases {
+            assign,
+            balance,
+            refine,
             timings,
-            metrics,
         };
-        (part, report)
+        (part, phases, carry)
+    }
+}
+
+/// What the four phases report: an [`IgpReport`] short of its cut metrics.
+pub(crate) struct Phases {
+    pub assign: AssignReport,
+    pub balance: BalanceOutcome,
+    pub refine: Option<RefineOutcome>,
+    pub timings: PhaseTimings,
+}
+
+impl Phases {
+    /// Vertices moved by balancing and refinement.
+    pub fn total_moved(&self) -> u64 {
+        self.balance.total_moved + self.refine.as_ref().map_or(0, |r| r.total_moved)
     }
 }
 

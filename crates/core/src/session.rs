@@ -10,9 +10,12 @@
 //! balancing becomes infeasible.
 
 use crate::config::IgpConfig;
+use crate::layer::{layer_partitions, LayerCarry};
 use crate::partitioner::IncrementalPartitioner;
 use igp_graph::coalesce::{CoalesceError, DeltaCoalescer};
-use igp_graph::{CsrGraph, GraphDelta, IncrementalGraph, NodeId, Partitioning, INVALID_NODE};
+use igp_graph::{
+    CsrGraph, GraphDelta, IncrementalGraph, NodeId, PartId, Partitioning, INVALID_NODE,
+};
 
 // The serving layer hands sessions across threads (one registry shard
 // can be locked from any connection handler); keep the session and its
@@ -86,6 +89,13 @@ pub struct IgpSession {
     /// session. Durability snapshots persist it, and the recovery
     /// property suite asserts it bit-identical across crash + replay.
     base_of_current: Vec<NodeId>,
+    /// The first balancing stage's layering of the last step, with the
+    /// assignment it was computed on: the next step re-layers only the
+    /// partitions its delta and the moves since then touched. `None`
+    /// (the next step sweeps every partition) after a step whose balance
+    /// reached no LP, an [`IgpSession::apply_increment`], a
+    /// [`IgpSession::reset_partitioning`] and a rehydrate.
+    carry: Option<LayerCarry>,
 }
 
 /// Persisted session state consumed by [`IgpSession::rehydrate`]: what
@@ -168,6 +178,7 @@ impl IgpSession {
             needs_scratch: seed.needs_scratch,
             pending: None,
             base_of_current: seed.base_of_current,
+            carry: None,
         }
     }
 
@@ -234,7 +245,7 @@ impl IgpSession {
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> StepSummary {
         self.assert_nothing_queued();
         let inc = delta.apply_owned(std::mem::replace(&mut self.graph, CsrGraph::empty()));
-        self.step(inc)
+        self.step(inc, Some(delta))
     }
 
     /// Queue a delta without repartitioning yet.
@@ -317,19 +328,18 @@ impl IgpSession {
         Ok(self.flush())
     }
 
-    /// Apply a pre-built incremental graph (its `old` side must match the
+    /// Apply a pre-built incremental graph (its `old` side must equal the
     /// session's current graph) and repartition.
     ///
     /// Panics if deltas are queued (they address a virtual graph ahead
     /// of `inc.old()`): flush or drop the queue first.
     pub fn apply_increment(&mut self, inc: IncrementalGraph) -> StepSummary {
         self.assert_nothing_queued();
-        assert_eq!(
-            inc.old().num_vertices(),
-            self.graph.num_vertices(),
+        assert!(
+            inc.old() == &self.graph,
             "increment does not start from the session's current graph"
         );
-        self.step(inc)
+        self.step(inc, None)
     }
 
     fn assert_nothing_queued(&self) {
@@ -340,19 +350,26 @@ impl IgpSession {
         );
     }
 
-    /// Repartition `inc` from the current partitioning and make its new
-    /// side the session's state. Everything read here besides the
-    /// repartition itself is O(1) or O(n): the cut before and after come
-    /// from the partitionings' maintained counters.
-    fn step(&mut self, inc: IncrementalGraph) -> StepSummary {
+    /// Repartition `inc` (built from `delta`, when known) from the
+    /// current partitioning and make its new side the session's state.
+    /// Everything read here besides the repartition itself is O(1) or
+    /// O(n): the cut before and after come from the partitionings'
+    /// maintained counters, and the first layering re-sweeps only the
+    /// partitions the carry cannot vouch for.
+    fn step(&mut self, inc: IncrementalGraph, delta: Option<&GraphDelta>) -> StepSummary {
         let m = crate::obs::metrics();
         m.edge_cut_before.set(self.part.cut_edges() as i64);
-        let (new_part, report) = m
+        let carry = self.carry.take();
+        let first_layer = |assign: &[PartId]| match (&carry, delta) {
+            (Some(c), Some(d)) => c.relayer(&inc, d, assign),
+            _ => layer_partitions(inc.new_graph(), assign, self.part.num_parts()),
+        };
+        let (new_part, phases, carry) = m
             .repartition_us
-            .time(|| self.partitioner.repartition(&inc, &self.part));
+            .time(|| self.partitioner.run(&inc, &self.part, first_layer));
         m.repartitions_total.inc();
-        let balance_lps = report.balance.stages.iter().map(|s| &s.lp);
-        let refine_lps = report
+        let balance_lps = phases.balance.stages.iter().map(|s| &s.lp);
+        let refine_lps = phases
             .refine
             .iter()
             .flat_map(|r| r.iters.iter().map(|i| &i.lp));
@@ -362,9 +379,9 @@ impl IgpSession {
                 .map(|lp| lp.pivots as u64)
                 .sum(),
         );
-        let moved = report.total_moved();
+        let moved = phases.total_moved();
         m.moved_vertices_total.add(moved);
-        let balanced = report.balance.balanced;
+        let balanced = phases.balance.balanced;
         if !balanced {
             m.scratch_signals_total.inc();
         }
@@ -374,7 +391,7 @@ impl IgpSession {
             cut: new_part.cut_edges(),
             imbalance: new_part.count_imbalance(),
             moved,
-            stages: report.num_stages(),
+            stages: phases.balance.stages.len(),
             balanced,
         };
         m.edge_cut_after.set(summary.cut as i64);
@@ -387,6 +404,7 @@ impl IgpSession {
             .collect();
         self.graph = inc.into_new_graph();
         self.part = new_part;
+        self.carry = carry;
         self.needs_scratch |= !summary.balanced;
         self.steps += 1;
         self.total_moved += moved;
@@ -406,6 +424,7 @@ impl IgpSession {
             part.assignment().to_vec(),
         );
         self.needs_scratch = false;
+        self.carry = None;
     }
 
     /// Total vertices moved across the whole session lifetime (the cost
@@ -584,6 +603,18 @@ mod tests {
     fn stale_increment_rejected() {
         let mut s = start();
         let other = generators::grid(5, 5);
+        let inc = GraphDelta::default().apply(&other);
+        s.apply_increment(inc);
+    }
+
+    /// Regression: an increment built on another graph of the same size
+    /// was repartitioned against the session's cut and counts.
+    #[test]
+    #[should_panic(expected = "does not start from the session's current graph")]
+    fn foreign_increment_of_same_size_rejected() {
+        let mut s = start();
+        let other = generators::cycle(64);
+        assert_eq!(other.num_vertices(), s.graph().num_vertices());
         let inc = GraphDelta::default().apply(&other);
         s.apply_increment(inc);
     }

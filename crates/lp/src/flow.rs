@@ -62,51 +62,6 @@ impl FlowNetwork {
         self.cap[id ^ 1]
     }
 
-    /// Edmonds–Karp maximum flow from `s` to `t` (BFS augmenting paths).
-    pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
-        let mut total = 0i64;
-        loop {
-            // BFS for a shortest augmenting path.
-            let mut pred_edge = vec![u32::MAX; self.n];
-            let mut queue = std::collections::VecDeque::new();
-            queue.push_back(s);
-            let mut seen = vec![false; self.n];
-            seen[s] = true;
-            'bfs: while let Some(u) = queue.pop_front() {
-                for &e in &self.first[u] {
-                    let v = self.to[e as usize] as usize;
-                    if !seen[v] && self.cap[e as usize] > 0 {
-                        seen[v] = true;
-                        pred_edge[v] = e;
-                        if v == t {
-                            break 'bfs;
-                        }
-                        queue.push_back(v);
-                    }
-                }
-            }
-            if !seen[t] {
-                return total;
-            }
-            // Bottleneck along the path.
-            let mut push = i64::MAX;
-            let mut v = t;
-            while v != s {
-                let e = pred_edge[v] as usize;
-                push = push.min(self.cap[e]);
-                v = self.to[e ^ 1] as usize;
-            }
-            let mut v = t;
-            while v != s {
-                let e = pred_edge[v] as usize;
-                self.cap[e] -= push;
-                self.cap[e ^ 1] += push;
-                v = self.to[e ^ 1] as usize;
-            }
-            total += push;
-        }
-    }
-
     /// Minimum-cost maximum flow from `s` to `t` via successive shortest
     /// paths (SPFA; arc costs may be negative as long as no negative cycle
     /// is reachable with residual capacity). Returns `(flow, cost)`.
@@ -301,30 +256,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn max_flow_classic() {
-        // s=0, t=5; the classic CLRS network with max flow 23.
-        let mut n = FlowNetwork::new(6);
-        n.add_edge(0, 1, 16, 0);
-        n.add_edge(0, 2, 13, 0);
-        n.add_edge(1, 2, 10, 0);
-        n.add_edge(2, 1, 4, 0);
-        n.add_edge(1, 3, 12, 0);
-        n.add_edge(3, 2, 9, 0);
-        n.add_edge(2, 4, 14, 0);
-        n.add_edge(4, 3, 7, 0);
-        n.add_edge(3, 5, 20, 0);
-        n.add_edge(4, 5, 4, 0);
-        assert_eq!(n.max_flow(0, 5), 23);
-    }
-
-    #[test]
-    fn max_flow_disconnected() {
-        let mut n = FlowNetwork::new(3);
-        n.add_edge(0, 1, 5, 0);
-        assert_eq!(n.max_flow(0, 2), 0);
-    }
-
-    #[test]
     fn mcmf_prefers_cheap_path() {
         // Two parallel routes 0→3: via 1 (cost 1+1), via 2 (cost 5+5).
         let mut n = FlowNetwork::new(4);
@@ -427,7 +358,7 @@ mod tests {
         let mut n = FlowNetwork::new(2);
         let e = n.add_edge(0, 1, 7, 0);
         assert_eq!(n.flow_on(e), 0);
-        n.max_flow(0, 1);
+        assert_eq!(n.min_cost_max_flow(0, 1), (7, 0));
         assert_eq!(n.flow_on(e), 7);
     }
 }

@@ -16,8 +16,8 @@
 //!   code at size 1. Variable bounds are native;
 //!   [`LpModel::caps_as_rows`] restates them as rows to reproduce the
 //!   paper's tableau sizes and pivot counts.
-//! * [`flow`] — network-flow solvers (Edmonds–Karp max-flow, SPFA-based
-//!   min-cost flow, cycle-cancelling max circulation). Both of the paper's
+//! * [`flow`] — network-flow solvers (SPFA-based min-cost flow,
+//!   cycle-cancelling max circulation). Both of the paper's
 //!   LPs are integral network problems, so these serve as independent
 //!   oracles in tests *and* as an ablation comparator for the simplex.
 //!

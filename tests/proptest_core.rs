@@ -4,11 +4,13 @@
 mod common;
 
 use igp::assign::assign_new_vertices;
+use igp::graph::coalesce::coalesce;
 use igp::graph::metrics::CutMetrics;
 use igp::graph::partition::transfer_assignment;
 use igp::graph::traversal::nearest_owner_bfs;
-use igp::graph::{generators, CsrGraph, NodeId, PartId, Partitioning, NO_PART};
-use igp::layer::{layer_owned, layer_partitions};
+use igp::graph::{generators, CsrGraph, GraphDelta, NodeId, PartId, Partitioning, NO_PART};
+use igp::layer::{layer_owned, layer_partitions, LayerCarry};
+use igp::session::IgpSession;
 use igp::{CapPolicy, IgpConfig, IncrementalPartitioner};
 use proptest::prelude::*;
 
@@ -20,6 +22,85 @@ fn scenario_strategy() -> impl Strategy<Value = (CsrGraph, Partitioning, u64)> {
         let part = common::bfs_slab_partitioning(&g, parts);
         (g, part, seed)
     })
+}
+
+/// A grid, or a random tree with a few chords, in up to 11 BFS slabs:
+/// local enough that an increment leaves some partitions untouched.
+fn carry_strategy() -> impl Strategy<Value = (CsrGraph, Partitioning, u64)> {
+    (5usize..14, 5usize..14, 3usize..12, any::<u64>()).prop_map(|(rows, cols, parts, seed)| {
+        let g = if seed % 2 == 0 {
+            generators::grid(rows, cols)
+        } else {
+            common::random_connected_graph(rows * cols, rows * cols / 8, seed)
+        };
+        let part = common::bfs_slab_partitioning(&g, parts);
+        (g, part, seed)
+    })
+}
+
+/// A random valid edit list for `g`: up to two vertex removals (none
+/// below 8 vertices), added vertices hung off survivors, chained to each
+/// other or forming an isolated cluster, and edges added and removed
+/// between survivors.
+fn random_delta(g: &CsrGraph, rng: &mut common::Lcg) -> GraphDelta {
+    let n = g.num_vertices();
+    let mut remove_vertices: Vec<NodeId> = (0..rng.below(3))
+        .filter(|_| n >= 8)
+        .map(|_| rng.below(n) as NodeId)
+        .collect();
+    remove_vertices.sort_unstable();
+    remove_vertices.dedup();
+    let alive: Vec<NodeId> = (0..n as NodeId)
+        .filter(|v| remove_vertices.binary_search(v).is_err())
+        .collect();
+    let mut named: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut fresh = |u: NodeId, v: NodeId| {
+        let key = (u.min(v), u.max(v));
+        let new = u != v && !named.contains(&key);
+        named.push(key);
+        new
+    };
+    let k = rng.below(6);
+    let isolated = rng.below(3) == 0;
+    let mut add_edges: Vec<(NodeId, NodeId, u64)> = Vec::new();
+    for a in 0..k {
+        let me = (n + a) as NodeId;
+        for _ in 0..1 + rng.below(2) {
+            let to = if a > 0 && (isolated || rng.below(2) == 0) {
+                (n + rng.below(a)) as NodeId
+            } else if !isolated && !alive.is_empty() {
+                alive[rng.below(alive.len())]
+            } else {
+                continue;
+            };
+            if fresh(to, me) {
+                add_edges.push((to, me, 1));
+            }
+        }
+    }
+    let mut remove_edges = Vec::new();
+    for _ in 0..rng.below(3) {
+        if alive.len() < 2 {
+            break;
+        }
+        let (u, v) = (alive[rng.below(alive.len())], alive[rng.below(alive.len())]);
+        if !g.has_edge(u, v) && fresh(u, v) {
+            add_edges.push((u, v, 1));
+        }
+        let row = g.neighbors(u);
+        if !row.is_empty() {
+            let w = row[rng.below(row.len())];
+            if alive.binary_search(&w).is_ok() && fresh(u, w) {
+                remove_edges.push((u, w));
+            }
+        }
+    }
+    GraphDelta {
+        add_vertices: vec![1; k],
+        remove_vertices,
+        add_edges,
+        remove_edges,
+    }
 }
 
 /// Layering as it was before the one-sweep kernel: one partition at a
@@ -372,5 +453,103 @@ proptest! {
         let m = CutMetrics::compute(inc.new_graph(), &part);
         prop_assert!(m.total_cut_edges <= inc.new_graph().num_edges() as u64);
         prop_assert!(m.sum_boundary() == 2 * m.total_cut_weight);
+    }
+
+    /// The carried layering ≡ the full sweep on tag, level, λ,
+    /// per-partition and total work: a layering of one assignment, random
+    /// moves after it, then an increment (empty, or removing vertices,
+    /// adding chained or isolated ones and editing edges) whose phase-1
+    /// assignment the carry re-layers.
+    #[test]
+    fn carried_layering_equals_full_sweep((g, part, seed) in carry_strategy()) {
+        let (n, p) = (g.num_vertices(), part.num_parts());
+        let mut rng = common::Lcg::new(seed);
+        let before = part.assignment().to_vec();
+        let first = layer_partitions(&g, &before, p);
+        let mut settled = before.clone();
+        for _ in 0..rng.below(6) {
+            settled[rng.below(n)] = rng.below(p) as PartId;
+        }
+        let delta = if rng.below(4) == 0 {
+            GraphDelta::default()
+        } else {
+            random_delta(&g, &mut rng)
+        };
+        let inc = delta.apply(&g);
+        let settled = Partitioning::from_assignment(&g, p, settled);
+        let (assign, _) = assign_new_vertices(&inc, &settled);
+        let carried = LayerCarry::new(before, first).relayer(&inc, &delta, &assign);
+        let full = layer_partitions(inc.new_graph(), &assign, p);
+        prop_assert_eq!(&carried.tag, &full.tag);
+        prop_assert_eq!(&carried.level, &full.level);
+        prop_assert_eq!(&carried.lambda, &full.lambda);
+        prop_assert_eq!(&carried.part_work, &full.part_work);
+        prop_assert_eq!(carried.work, full.work);
+    }
+
+    /// A session that carries its layering from step to step ≡ the
+    /// library `repartition` from scratch on the same inputs, step for
+    /// step: assignment and every [`StepSummary`] field, across direct
+    /// deltas, queued batches, `apply_increment`, `reset_partitioning`
+    /// and a `seed` → `rehydrate` restart.
+    #[test]
+    fn session_steps_equal_library_repartition((g, part, seed) in carry_strategy()) {
+        let p = part.num_parts();
+        let cfg = IgpConfig::new(p);
+        let igpr = IncrementalPartitioner::igpr(cfg.clone());
+        let mut rng = common::Lcg::new(seed);
+        let mut s = IgpSession::new(g.clone(), part.clone(), cfg.clone(), true);
+        let (mut graph, mut reference) = (g, part);
+        for step in 0..10 {
+            let (inc, summary) = match rng.below(8) {
+                0 => {
+                    reference = common::bfs_slab_partitioning(&graph, p);
+                    s.reset_partitioning(reference.clone());
+                    continue;
+                }
+                1 => {
+                    s = IgpSession::rehydrate(s.seed(), cfg.clone(), true);
+                    continue;
+                }
+                2 => {
+                    let d = random_delta(&graph, &mut rng);
+                    (d.apply(&graph), s.apply_increment(d.apply(&graph)))
+                }
+                3 | 4 => {
+                    let mut batch = Vec::new();
+                    let mut ahead = graph.clone();
+                    for _ in 0..1 + rng.below(3) {
+                        let d = random_delta(&ahead, &mut rng);
+                        ahead = d.apply(&ahead).into_new_graph();
+                        s.queue_delta(&d).unwrap();
+                        batch.push(d);
+                    }
+                    let net = coalesce(graph.num_vertices(), &batch).unwrap();
+                    match s.flush() {
+                        Some(summary) => (net.apply(&graph), summary),
+                        None => {
+                            prop_assert!(net.is_empty(), "step {}", step);
+                            continue;
+                        }
+                    }
+                }
+                _ => {
+                    let d = random_delta(&graph, &mut rng);
+                    (d.apply(&graph), s.apply_delta(&d))
+                }
+            };
+            let (part, report) = igpr.repartition(&inc, &reference);
+            prop_assert_eq!(s.partitioning().assignment(), part.assignment(), "step {}", step);
+            prop_assert_eq!(summary.step + 1, s.steps());
+            prop_assert_eq!(summary.num_vertices, part.num_vertices());
+            prop_assert_eq!(summary.cut, report.metrics.total_cut_edges, "step {}", step);
+            prop_assert_eq!(summary.imbalance, part.count_imbalance());
+            prop_assert_eq!(summary.moved, report.total_moved(), "step {}", step);
+            prop_assert_eq!(summary.stages, report.num_stages());
+            prop_assert_eq!(summary.balanced, report.balance.balanced);
+            graph = inc.into_new_graph();
+            prop_assert_eq!(s.graph(), &graph);
+            reference = part;
+        }
     }
 }
