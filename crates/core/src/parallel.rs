@@ -10,10 +10,11 @@
 //!   expands the frontier of its owned partitions and claims are merged
 //!   deterministically each superstep;
 //! * **phase 2** layers owned partitions locally and allgathers labels;
-//! * **phases 3–4** solve their LPs collectively with the configured
-//!   engine ([`solve_movement_on`], [`solve_circulation_on`]): `igp-lp`'s
-//!   simplex kernel with columns strided across ranks — the paper's main
-//!   parallelization claim;
+//! * **phase 3** solves its LPs collectively ([`solve_movement_on`]):
+//!   `igp-lp`'s simplex kernel with columns strided across ranks — the
+//!   paper's main parallelization claim;
+//! * **phase 4** is [`crate::refine`]'s round run on the executor, so it
+//!   returns the sequential partition at every rank count;
 //! * every compute step charges work units and every exchange pays
 //!   `α + β·words`, so a [`Backend::SimCm5`] run yields simulated CM-5
 //!   phase timings.
@@ -38,8 +39,8 @@
 use crate::balance::{adjacency_pairs, integer_targets, scale_surplus, solve_movement_on};
 use crate::config::{CapPolicy, IgpConfig};
 use crate::layer::layer_owned;
-use crate::refine::solve_circulation_on;
-use igp_graph::{CsrGraph, IncrementalGraph, NodeId, PartId, Partitioning, INVALID_NODE, NO_PART};
+use crate::refine::refine_on;
+use igp_graph::{IncrementalGraph, NodeId, PartId, Partitioning, INVALID_NODE, NO_PART};
 use igp_lp::LpError;
 use igp_runtime::{Backend, CostModel, Executor, SimReport, SpmdJob};
 
@@ -70,9 +71,10 @@ pub struct ParallelRunReport {
     pub stages: usize,
     /// Whether balance targets were met.
     pub balanced: bool,
-    /// Total simplex pivots across every collective LP solve — identical
-    /// on every backend (and to the sequential driver when the scenario
-    /// exercises no tie-break divergence).
+    /// Simplex pivots of every balance LP and of each refine iteration's
+    /// last LP (attempts rolled back and re-solved do not count) —
+    /// identical on every backend, and to the sequential driver where no
+    /// drain tie-break diverges.
     pub total_pivots: u64,
 }
 
@@ -150,17 +152,15 @@ impl ParallelPartitioner {
             with_refinement: self.with_refinement,
         };
         let (mut outs, sim) = self.cfg.backend.launch(self.workers, self.cost, &job);
+        let max = |t: fn(&RankOut) -> f64| outs.iter().map(t).fold(0.0, f64::max);
+        let phases = PhaseSim {
+            assign: max(|o| o.t_assign),
+            balance: max(|o| o.t_balance),
+            refine: max(|o| o.t_refine),
+        };
         // All ranks compute identical state; take rank 0's copy.
         let r0 = outs.swap_remove(0);
         let part = Partitioning::from_assignment(inc.new_graph(), self.cfg.num_parts, r0.assign);
-        let phases = PhaseSim {
-            assign: outs.iter().map(|o| o.t_assign).fold(r0.t_assign, f64::max),
-            balance: outs
-                .iter()
-                .map(|o| o.t_balance)
-                .fold(r0.t_balance, f64::max),
-            refine: outs.iter().map(|o| o.t_refine).fold(r0.t_refine, f64::max),
-        };
         let report = ParallelRunReport {
             backend: self.cfg.backend,
             sim,
@@ -186,13 +186,7 @@ impl SpmdJob for RepartitionJob<'_> {
     type Out = RankOut;
 
     fn run<E: Executor>(&self, exec: &mut E) -> RankOut {
-        run_rank(
-            exec,
-            self.inc,
-            self.old_part,
-            self.cfg,
-            self.with_refinement,
-        )
+        run_rank(exec, self)
     }
 }
 
@@ -207,13 +201,13 @@ struct RankOut {
     lp_pivots: u64,
 }
 
-fn run_rank<E: Executor>(
-    ctx: &mut E,
-    inc: &IncrementalGraph,
-    old_part: &Partitioning,
-    cfg: &IgpConfig,
-    with_refinement: bool,
-) -> RankOut {
+fn run_rank<E: Executor>(ctx: &mut E, job: &RepartitionJob) -> RankOut {
+    let RepartitionJob {
+        inc,
+        old_part,
+        cfg,
+        with_refinement,
+    } = *job;
     let g = inc.new_graph();
     let p = cfg.num_parts;
     let w = ctx.size();
@@ -453,116 +447,11 @@ fn run_rank<E: Executor>(
     }
     let t_balance = ctx.now();
 
-    // ---------------- Phase 4: parallel refinement ----------------
+    // ---------------- Phase 4: refinement ----------------
     if with_refinement {
-        let mut cut_before = parallel_cut(ctx, g, &part, owns);
-        for it in 0..cfg.refine.max_iters {
-            let strict = it >= cfg.refine.strict_after;
-            // Candidates for owned partitions only; then replicate.
-            let mut cands_mine: Vec<(PartId, PartId, NodeId, i64)> = Vec::new();
-            for v in g.vertices() {
-                let i = part.part_of(v);
-                if !owns(i) {
-                    continue;
-                }
-                let mut internal = 0i64;
-                let mut best: Option<(i64, PartId)> = None;
-                let mut ext: Vec<(PartId, i64)> = Vec::new();
-                for (u, wt) in g.edges_of(v) {
-                    ctx.charge(1);
-                    let q = part.part_of(u);
-                    if q == i {
-                        internal += wt as i64;
-                    } else {
-                        match ext.iter_mut().find(|(eq, _)| *eq == q) {
-                            Some((_, c)) => *c += wt as i64,
-                            None => ext.push((q, wt as i64)),
-                        }
-                    }
-                }
-                for &(q, out) in &ext {
-                    let gain = out - internal;
-                    match best {
-                        None => best = Some((gain, q)),
-                        Some((bg, bq)) => {
-                            if gain > bg || (gain == bg && q < bq) {
-                                best = Some((gain, q));
-                            }
-                        }
-                    }
-                }
-                if let Some((gain, j)) = best {
-                    if if strict { gain > 0 } else { gain >= 0 } {
-                        cands_mine.push((i, j, v, gain));
-                    }
-                }
-            }
-            let all: Vec<Vec<(PartId, PartId, NodeId, i64)>> = ctx.allgather(cands_mine, 4);
-            let mut merged: Vec<(PartId, PartId, NodeId, i64)> =
-                all.into_iter().flatten().collect();
-            if merged.is_empty() {
-                break;
-            }
-            // Group into pairs; order candidates best-gain-first.
-            merged.sort_by(|a, b| {
-                (a.0, a.1)
-                    .cmp(&(b.0, b.1))
-                    .then(b.3.cmp(&a.3))
-                    .then(a.2.cmp(&b.2))
-            });
-            ctx.charge(merged.len() as u64);
-            let mut pairs: Vec<(PartId, PartId)> = Vec::new();
-            let mut lists: Vec<Vec<(NodeId, i64)>> = Vec::new();
-            for &(i, j, v, gain) in &merged {
-                if pairs.last() != Some(&(i, j)) {
-                    pairs.push((i, j));
-                    lists.push(Vec::new());
-                }
-                lists.last_mut().unwrap().push((v, gain));
-            }
-            let mut caps: Vec<u64> = lists.iter().map(|l| l.len() as u64).collect();
-            // Damped application, mirroring the sequential driver: on a
-            // measured cut increase roll back, halve caps and re-solve.
-            let mut success = false;
-            let mut gained = 0u64;
-            'attempts: for _attempt in 0..5 {
-                let (l, acc) = solve_circulation_on(ctx, p, &pairs, &caps, cfg);
-                lp_pivots += acc.pivots as u64;
-                if l.iter().all(|&x| x <= 0) {
-                    break 'attempts;
-                }
-                let mut undo: Vec<(NodeId, PartId)> = Vec::new();
-                for (k, &(i, j)) in pairs.iter().enumerate() {
-                    let want = l[k].max(0) as usize;
-                    for &(v, _) in lists[k].iter().take(want) {
-                        undo.push((v, i));
-                        part.move_vertex(g, v, j);
-                    }
-                }
-                ctx.charge(undo.len() as u64);
-                let cut_after = parallel_cut(ctx, g, &part, owns);
-                if cut_after > cut_before {
-                    for &(v, back) in undo.iter().rev() {
-                        part.move_vertex(g, v, back);
-                    }
-                    for (c, &x) in caps.iter_mut().zip(&l) {
-                        *c = (x.max(0) as u64) / 2;
-                    }
-                    if caps.iter().all(|&c| c == 0) {
-                        break 'attempts;
-                    }
-                    continue 'attempts;
-                }
-                gained = cut_before - cut_after;
-                moved_total += undo.len() as u64;
-                cut_before = cut_after;
-                success = true;
-                break 'attempts;
-            }
-            if !success || gained < cfg.refine.min_gain {
-                break;
-            }
-        }
+        let r = refine_on(ctx, g, &mut part, cfg, owns);
+        moved_total += r.total_moved;
+        lp_pivots += r.iters.iter().map(|i| i.lp.pivots as u64).sum::<u64>();
     }
     let t_refine = ctx.now();
 
@@ -576,30 +465,6 @@ fn run_rank<E: Executor>(
         balanced,
         lp_pivots,
     }
-}
-
-/// Distributed cut count: each rank sums boundary cost over its owned
-/// partitions; `Σ_q C(q) = 2·cut`.
-fn parallel_cut<E: Executor>(
-    ctx: &mut E,
-    g: &CsrGraph,
-    part: &Partitioning,
-    owns: impl Fn(PartId) -> bool,
-) -> u64 {
-    let mut local = 0u64;
-    for v in g.vertices() {
-        let i = part.part_of(v);
-        if !owns(i) {
-            continue;
-        }
-        for (u, wt) in g.edges_of(v) {
-            ctx.charge(1);
-            if part.part_of(u) != i {
-                local += wt;
-            }
-        }
-    }
-    ctx.allreduce_sum(local) / 2
 }
 
 #[cfg(test)]
@@ -641,8 +506,8 @@ mod tests {
         let par = ParallelPartitioner::igpr(IgpConfig::new(4), 3);
         let (par_part, _) = par.repartition(&inc, &old);
         let cut = CutMetrics::compute(inc.new_graph(), &par_part).total_cut_edges;
-        // Same pipeline ⇒ near-identical quality (tie-breaks may differ by
-        // at most a couple of edges through alternative LP optima).
+        // Refinement is the sequential round; the remaining slack comes
+        // from the balance drain only, whose tie-breaks may differ.
         assert!(
             (cut as i64 - seq_rep.metrics.total_cut_edges as i64).abs() <= 3,
             "parallel cut {cut} vs sequential {}",

@@ -95,27 +95,28 @@ pub fn solve_circulation_on<E: Executor>(
     (l, acc)
 }
 
-/// Collect per-pair candidate lists. `strict` selects `gain > 0` instead
-/// of `gain ≥ 0`. Each vertex lands in its best pair only. Only boundary
-/// vertices can have a foreign partition to move to, so interior vertices
-/// are skipped on the maintained boundary flag; the rest are visited in
-/// ascending id, which fixes both the pair order and the order within a
-/// pair.
-fn collect_candidates(
+/// One rank's share of the candidate scan, as `(v, j, gain)` in ascending
+/// `v`: the boundary vertices of the partitions `owns` selects whose best
+/// foreign partition `j` clears the gain threshold (`gain > 0` when
+/// `strict`, else `≥ 0`). Each vertex counts toward its best pair only.
+/// Interior vertices have no foreign partition to move to, so they are
+/// skipped on the maintained boundary flag. Also returns the edges visited.
+fn scan_candidates(
     g: &CsrGraph,
     part: &Partitioning,
     strict: bool,
-) -> (Vec<(PartId, PartId)>, Vec<Vec<Candidate>>, u64) {
-    let p = part.num_parts();
-    let mut table: Vec<Vec<Candidate>> = Vec::new();
-    let mut index: Vec<i32> = vec![-1; p * p];
-    let mut pairs: Vec<(PartId, PartId)> = Vec::new();
+    owns: &impl Fn(PartId) -> bool,
+) -> (Vec<(NodeId, PartId, i64)>, u64) {
+    let mut found = Vec::new();
     let mut work = 0u64;
     // Reusable per-vertex accumulation over adjacent partitions.
-    let mut acc: Vec<i64> = vec![0; p];
+    let mut acc: Vec<i64> = vec![0; part.num_parts()];
     let mut touched: Vec<PartId> = Vec::new();
-    for v in g.vertices().filter(|&v| part.is_boundary(g, v)) {
+    for v in g.vertices() {
         let i = part.part_of(v);
+        if !owns(i) || !part.is_boundary(g, v) {
+            continue;
+        }
         let mut internal: i64 = 0;
         touched.clear();
         for (u, w) in g.edges_of(v) {
@@ -145,35 +146,73 @@ fn collect_candidates(
             }
         }
         if let Some((gain, j)) = best {
-            let ok = if strict { gain > 0 } else { gain >= 0 };
-            if ok {
-                let slot = &mut index[i as usize * p + j as usize];
-                if *slot < 0 {
-                    *slot = pairs.len() as i32;
-                    pairs.push((i, j));
-                    table.push(Vec::new());
-                }
-                table[*slot as usize].push(Candidate { v, gain });
+            if if strict { gain > 0 } else { gain >= 0 } {
+                found.push((v, j, gain));
             }
         }
     }
-    // Highest-gain-first application order.
+    (found, work)
+}
+
+/// Group candidates given in ascending vertex id into per-pair lists. The
+/// ascending order fixes both the pair order (first appearance) and the
+/// tie order within a pair; each list is then sorted highest-gain-first,
+/// the order moves are applied in.
+fn group_candidates(
+    part: &Partitioning,
+    cands: &[(NodeId, PartId, i64)],
+) -> (Vec<(PartId, PartId)>, Vec<Vec<Candidate>>) {
+    let p = part.num_parts();
+    let mut table: Vec<Vec<Candidate>> = Vec::new();
+    let mut index: Vec<i32> = vec![-1; p * p];
+    let mut pairs: Vec<(PartId, PartId)> = Vec::new();
+    for &(v, j, gain) in cands {
+        let i = part.part_of(v);
+        let slot = &mut index[i as usize * p + j as usize];
+        if *slot < 0 {
+            *slot = pairs.len() as i32;
+            pairs.push((i, j));
+            table.push(Vec::new());
+        }
+        table[*slot as usize].push(Candidate { v, gain });
+    }
     for list in &mut table {
         list.sort_by(|a, b| b.gain.cmp(&a.gain).then(a.v.cmp(&b.v)));
     }
-    (pairs, table, work)
+    (pairs, table)
 }
 
 /// Run the refinement phase — the paper's iterative LP circulation
 /// (eq. 14–16), which preserves partition sizes exactly — mutating `part`
-/// in place.
+/// in place. The sequential entry point: the SPMD round at size 1.
 pub fn refine(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineOutcome {
+    refine_on(&mut Solo, g, part, cfg, |_| true)
+}
+
+/// [`refine`] as a collective over the ranks of `ctx`, on a `part` every
+/// rank holds in full. Each rank scans the partitions `owns` selects; the
+/// candidates are allgathered and merged in ascending vertex id, so every
+/// rank, at every rank count, solves the same LPs and applies the same
+/// moves as [`refine`]. `work` counts this rank's share of the scan plus
+/// the LP and move work every rank repeats.
+pub(crate) fn refine_on<E: Executor>(
+    ctx: &mut E,
+    g: &CsrGraph,
+    part: &mut Partitioning,
+    cfg: &IgpConfig,
+    owns: impl Fn(PartId) -> bool,
+) -> RefineOutcome {
     let mut out = RefineOutcome::default();
     let mut cut_before = part.cut_edges();
     for it in 0..cfg.refine.max_iters {
         let strict = it >= cfg.refine.strict_after;
-        let (pairs, table, scan_work) = collect_candidates(g, part, strict);
+        let (mine, scan_work) = scan_candidates(g, part, strict, &owns);
+        ctx.charge(scan_work);
         out.work += scan_work;
+        // Vertex ids are unique across ranks, so the merge is deterministic.
+        let mut merged = ctx.allgather(mine, 3).concat();
+        merged.sort_unstable_by_key(|&(v, _, _)| v);
+        let (pairs, table) = group_candidates(part, &merged);
         if pairs.is_empty() {
             break;
         }
@@ -184,7 +223,7 @@ pub fn refine(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineO
         let mut success = false;
         let mut rolled_back_final = false;
         for _attempt in 0..5 {
-            let (l, acc) = solve_circulation(cfg.num_parts, &pairs, &caps, cfg);
+            let (l, acc) = solve_circulation_on(ctx, cfg.num_parts, &pairs, &caps, cfg);
             out.work += acc.work;
             let planned: u64 = l.iter().map(|&x| x.max(0) as u64).sum();
             if planned == 0 {
@@ -200,20 +239,26 @@ pub fn refine(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineO
             // Apply (recording undo information). The maintained cut is
             // exact, so the rollback test below sees what a recount would.
             let mut undo: Vec<(NodeId, PartId)> = Vec::new();
+            let mut move_work = 0u64;
             for (k, &(i, j)) in pairs.iter().enumerate() {
                 let want = l[k].max(0) as usize;
                 for c in table[k].iter().take(want) {
                     undo.push((c.v, i));
                     part.move_vertex(g, c.v, j);
-                    out.work += g.degree(c.v) as u64;
+                    move_work += g.degree(c.v) as u64;
                 }
             }
             let cut_after = part.cut_edges();
-            if cut_after > cut_before {
+            let rolled_back = cut_after > cut_before;
+            if rolled_back {
                 for &(v, back) in undo.iter().rev() {
                     part.move_vertex(g, v, back);
-                    out.work += g.degree(v) as u64;
+                    move_work += g.degree(v) as u64;
                 }
+            }
+            ctx.charge(move_work);
+            out.work += move_work;
+            if rolled_back {
                 rolled_back_final = true;
                 for (c, &lv) in caps.iter_mut().zip(&l) {
                     *c = (lv.max(0) as u64) / 2;
@@ -261,9 +306,98 @@ mod tests {
     use super::*;
     use igp_graph::generators;
     use igp_graph::metrics::CutMetrics;
+    use igp_runtime::{Backend, CostModel, SpmdJob};
 
     fn cfg(p: usize) -> IgpConfig {
         IgpConfig::new(p)
+    }
+
+    /// The whole-graph candidate table, as one rank sees it.
+    fn collect(
+        g: &CsrGraph,
+        part: &Partitioning,
+        strict: bool,
+    ) -> (Vec<(PartId, PartId)>, Vec<Vec<Candidate>>) {
+        group_candidates(part, &scan_candidates(g, part, strict, &|_| true).0)
+    }
+
+    /// `refine_on` as an SPMD job: every rank's assignment, `total_moved`
+    /// and iteration count.
+    struct RefineJob<'a> {
+        g: &'a CsrGraph,
+        part: &'a Partitioning,
+        cfg: &'a IgpConfig,
+    }
+
+    impl SpmdJob for RefineJob<'_> {
+        type Out = (Vec<PartId>, u64, usize);
+
+        fn run<E: Executor>(&self, ctx: &mut E) -> Self::Out {
+            let (w, me) = (ctx.size(), ctx.rank());
+            let mut part = self.part.clone();
+            let r = refine_on(ctx, self.g, &mut part, self.cfg, |q| q as usize % w == me);
+            (part.assignment().to_vec(), r.total_moved, r.iters.len())
+        }
+    }
+
+    #[test]
+    fn refinement_is_independent_of_rank_count() {
+        let graphs = [
+            generators::grid(8, 8),
+            generators::grid(10, 12),
+            generators::torus(9, 9),
+            generators::random_geometric(120, 0.16, 7),
+            generators::gnp(90, 0.05, 3),
+        ];
+        let (mut cases, mut moving) = (0, 0);
+        for (gi, g) in graphs.iter().enumerate() {
+            for parts in [3usize, 4, 6] {
+                // Id slabs with about one vertex in five sent elsewhere.
+                let mut x = (gi * 31 + parts) as u64 | 1;
+                let n = g.num_vertices();
+                let assign: Vec<PartId> = (0..n)
+                    .map(|v| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let q = if x.is_multiple_of(5) {
+                            x / 5
+                        } else {
+                            (v * parts / n) as u64
+                        };
+                        (q % parts as u64) as PartId
+                    })
+                    .collect();
+                let base = Partitioning::from_assignment(g, parts, assign);
+                for cfg in [IgpConfig::new(parts), IgpConfig::paper(parts)] {
+                    let mut seq = base.clone();
+                    let want = refine(g, &mut seq, &cfg);
+                    moving += usize::from(want.total_moved > 0);
+                    for backend in Backend::ALL {
+                        for w in 1..=4 {
+                            let job = RefineJob {
+                                g,
+                                part: &base,
+                                cfg: &cfg,
+                            };
+                            let (outs, _) = backend.launch(w, CostModel::cm5(), &job);
+                            for (rank, (assign, moved, iters)) in outs.iter().enumerate() {
+                                let tag = format!(
+                                    "graph {gi} P={parts} {:?} {backend} W={w} rank {rank}",
+                                    cfg.solver
+                                );
+                                assert_eq!(&assign[..], seq.assignment(), "{tag}");
+                                assert_eq!(*moved, want.total_moved, "{tag}");
+                                assert_eq!(*iters, want.iters.len(), "{tag}");
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 240);
+        assert!(moving >= 25, "only {moving} of 30 inputs refine at all");
     }
 
     #[test]
@@ -344,8 +478,8 @@ mod tests {
         let g = generators::cycle(8);
         let part = Partitioning::from_assignment(&g, 2, vec![0, 0, 0, 0, 1, 1, 1, 1]);
         // Boundary vertices on a cycle have gain 0 (1 out, 1 in).
-        let (pairs_loose, _, _) = collect_candidates(&g, &part, false);
-        let (pairs_strict, _, _) = collect_candidates(&g, &part, true);
+        let (pairs_loose, _) = collect(&g, &part, false);
+        let (pairs_strict, _) = collect(&g, &part, true);
         assert!(!pairs_loose.is_empty());
         assert!(pairs_strict.is_empty());
     }
@@ -355,7 +489,7 @@ mod tests {
         // Vertex 0 (part 0): 1 edge to part 1, 2 edges to part 2, 0 local.
         let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
         let part = Partitioning::from_assignment(&g, 3, vec![0, 1, 2, 2]);
-        let (pairs, table, _) = collect_candidates(&g, &part, false);
+        let (pairs, table) = collect(&g, &part, false);
         // Vertex 0's best pair is (0, 2) with gain 2.
         let k = pairs.iter().position(|&p| p == (0, 2)).unwrap();
         assert!(table[k].iter().any(|c| c.v == 0 && c.gain == 2));

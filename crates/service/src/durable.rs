@@ -58,6 +58,13 @@ pub fn recover_session(
     let tokens: Vec<&str> = rec.meta.config_line.split_ascii_whitespace().collect();
     let cfg = crate::protocol::parse_open_opts(&tokens)
         .map_err(|e| ServiceError::Storage(format!("stored config line does not parse: {e}")))?;
+    let snapshot_parts = rec.snapshot.part.num_parts();
+    if snapshot_parts != cfg.parts {
+        return Err(ServiceError::Storage(format!(
+            "snapshot has {snapshot_parts} partitions, stored config says parts={}",
+            cfg.parts
+        )));
+    }
     let seed = SessionSeed {
         graph: rec.snapshot.graph,
         part: rec.snapshot.part,

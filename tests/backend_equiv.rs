@@ -14,9 +14,14 @@
 //!    matches the parallel drivers bit-for-bit where no such tie-break
 //!    divergence is exercised; those scenarios are pinned here.
 //! 3. **SimCm5 golden reports**: the exact makespan / message / word /
-//!    work numbers captured from the pre-`Executor` runtime (seed commit
-//!    4433ac4) — the refactor must not drift the simulated CM-5 clock by
-//!    one bit.
+//!    work numbers of the paper path. They were captured from the
+//!    pre-`Executor` runtime (seed commit 4433ac4). The three
+//!    `refine: true` rows' costs were re-captured once, when the SPMD
+//!    driver's phase 4 became the sequential refine round run on its
+//!    executor: its scan charges boundary vertices only and the cut is
+//!    no longer recounted over the network. Partition hashes, `moved`
+//!    and `stages` are the seed's in all six rows. A refactor must not
+//!    drift the simulated CM-5 clock by one bit.
 
 mod common;
 
@@ -199,10 +204,10 @@ fn sequential_objectives_match_on_divergent_scenarios() {
     }
 }
 
-/// Golden SimCm5 numbers captured from the pre-`Executor` runtime on the
-/// canonical grid scenario. The refactor routes every charge through the
-/// trait, so any drift here means the CM-5 simulation changed behaviour
-/// and E1–E3 reproduction can no longer be trusted.
+/// Golden SimCm5 numbers on the canonical grid scenario (provenance in
+/// the module doc, layer 3). Every charge goes through the trait, so any
+/// drift here means the CM-5 simulation changed behaviour and E1–E3
+/// reproduction can no longer be trusted.
 // 17-significant-digit literals: these round-trip the captured f64s
 // exactly; the pins are bitwise, not approximate.
 #[allow(clippy::excessive_precision)]
@@ -234,10 +239,10 @@ fn sim_cm5_reports_unchanged_since_seed() {
         Golden {
             workers: 1,
             refine: true,
-            makespan: 2.95559999999994282e-3,
+            makespan: 2.7473999999999992e-3,
             messages: 0,
             words: 0,
-            work: 9852,
+            work: 9158,
             moved: 6,
             stages: 1,
             hash: 2910191017051003751,
@@ -256,10 +261,10 @@ fn sim_cm5_reports_unchanged_since_seed() {
         Golden {
             workers: 2,
             refine: true,
-            makespan: 2.02079999999997279e-3,
-            messages: 86,
-            words: 420,
-            work: 10467,
+            makespan: 1.9020000000000007e-3,
+            messages: 83,
+            words: 423,
+            work: 9830,
             moved: 6,
             stages: 1,
             hash: 2910191017051003751,
@@ -278,10 +283,10 @@ fn sim_cm5_reports_unchanged_since_seed() {
         Golden {
             workers: 4,
             refine: true,
-            makespan: 1.73989999999999085e-3,
-            messages: 258,
-            words: 1326,
-            work: 11697,
+            makespan: 1.658300000000003e-3,
+            messages: 249,
+            words: 1329,
+            work: 11174,
             moved: 6,
             stages: 1,
             hash: 2910191017051003751,

@@ -278,3 +278,74 @@ fn dot_session_ids_cannot_escape_the_data_dir() {
     assert_eq!(std::fs::read_to_string(&canary).unwrap(), "keep");
     std::fs::remove_dir_all(&parent).ok();
 }
+
+/// Regression: a tenant whose snapshot partition count disagrees with
+/// the `parts=` of its stored config line used to panic recovery (an
+/// `assert_eq!` in session rehydration), aborting the daemon at start.
+/// It must be reported as a failure while its sibling recovers.
+#[test]
+fn partition_count_mismatch_fails_only_that_tenant() {
+    use igp::graph::Partitioning;
+    use igp::service::protocol::encode_open_opts;
+    use igp::store::{SessionState, SessionStore, StoreMeta};
+
+    let dir = scratch_dir("parts-mismatch");
+    let (base, cfg, deltas) = scenario(0);
+    let server = serve("127.0.0.1:0", opts(&dir)).expect("bind");
+    let mut cli = IgpClient::connect(server.addr()).expect("connect");
+    cli.open("good", &base, &cfg).expect("open");
+    for d in &deltas {
+        cli.delta("good", d).expect("delta");
+    }
+    cli.shutdown().expect("shutdown");
+    server.wait();
+
+    // A 3-part snapshot under a `parts=4` config line.
+    let g = generators::grid(4, 4);
+    let part = Partitioning::round_robin(&g, 3);
+    let ids: Vec<u32> = (0..16).collect();
+    SessionStore::create(
+        &dir.join("bad"),
+        StoreMeta {
+            sid: "bad".into(),
+            config_line: encode_open_opts(&SessionConfig::new(4)),
+        },
+        SnapshotPolicy::EveryK(4),
+        SessionState {
+            graph: &g,
+            part: &part,
+            base_of_current: &ids,
+            steps: 0,
+            total_moved: 0,
+            deltas_received: 0,
+            needs_scratch: false,
+        },
+    )
+    .expect("create");
+
+    let (recovered, failures) =
+        igp::service::recover_all(&dir, SnapshotPolicy::EveryK(4)).expect("read data dir");
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(
+        failures[0].contains("bad") && failures[0].contains('3') && failures[0].contains('4'),
+        "{failures:?}"
+    );
+    assert_eq!(recovered.len(), 1);
+    assert_eq!(recovered[0].sid, "good");
+    let truth = replay(&base, &cfg, &deltas);
+    assert_eq!(recovered[0].session.assignment(), truth.assignment());
+    assert_eq!(recovered[0].session.steps(), truth.steps());
+    drop(recovered);
+
+    // The daemon starts on the same directory and serves the sibling.
+    let server = serve("127.0.0.1:0", opts(&dir)).expect("rebind");
+    let mut cli = IgpClient::connect(server.addr()).expect("reconnect");
+    assert_eq!(cli.list().expect("list"), vec!["good".to_string()]);
+    assert_eq!(
+        cli.partition("good").expect("partition"),
+        truth.assignment()
+    );
+    cli.shutdown().expect("shutdown");
+    server.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
