@@ -104,7 +104,7 @@ fn main() {
     );
 
     println!("\n---------------- E3: speedup ----------------");
-    let old_a = recursive_spectral_bisection(&seq_a.base, parts, RsbOptions::default());
+    let old_a = recursive_spectral_bisection(&seq_a.base, parts, RsbOptions::paper());
     let pts = run_speedup_experiment(
         &seq_a.steps[0].inc,
         &old_a,

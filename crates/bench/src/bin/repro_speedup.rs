@@ -64,7 +64,7 @@ fn main() {
 
     eprintln!("building mesh sequence A (seed {seed}) ...");
     let seq_a = paper_sequence_a(seed);
-    let old_a = recursive_spectral_bisection(&seq_a.base, parts, RsbOptions::default());
+    let old_a = recursive_spectral_bisection(&seq_a.base, parts, RsbOptions::paper());
     let pts_a =
         run_speedup_experiment_on(&seq_a.steps[0].inc, &old_a, parts, &workers, false, backend);
     println!("==== Speedup reproduction (E3), P = {parts}, backend = {backend} ====\n");
@@ -75,7 +75,7 @@ fn main() {
 
     eprintln!("building mesh sequence B (seed {seed}) ...");
     let seq_b = paper_sequence_b(seed);
-    let old_b = recursive_spectral_bisection(&seq_b.base, parts, RsbOptions::default());
+    let old_b = recursive_spectral_bisection(&seq_b.base, parts, RsbOptions::paper());
     let pts_b =
         run_speedup_experiment_on(&seq_b.steps[3].inc, &old_b, parts, &workers, false, backend);
     println!(

@@ -65,7 +65,7 @@ fn cut_row(g: &CsrGraph, part: &Partitioning) -> (u64, u64, u64) {
 /// refined (IGPR) partitioning so per-step rows measure one increment
 /// from a healthy base rather than compounding unrefined drift.
 pub fn run_sequence_experiment(seq: &MeshSequence, p: usize) -> (RowResult, Vec<StepResult>) {
-    let rsb_opts = RsbOptions::default();
+    let rsb_opts = RsbOptions::paper();
     // Base partitioning via RSB (timed).
     let t = Instant::now();
     let base_part = recursive_spectral_bisection(&seq.base, p, rsb_opts);
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn speedup_monotone_on_tiny() {
         let seq = tiny_sequence(5);
-        let old = recursive_spectral_bisection(&seq.base, 4, RsbOptions::default());
+        let old = recursive_spectral_bisection(&seq.base, 4, RsbOptions::paper());
         let pts = run_speedup_experiment(&seq.steps[0].inc, &old, 4, &[1, 2, 8], false);
         assert_eq!(pts.len(), 3);
         assert!((pts[0].model_speedup - 1.0).abs() < 1e-9);

@@ -8,7 +8,7 @@
 //! edit-list form, convertible in both directions.
 
 use crate::csr::CsrGraph;
-use crate::{NodeId, Weight, INVALID_NODE};
+use crate::{NodeId, Weight, INVALID_NODE, MAX_WEIGHT};
 
 /// Why a [`GraphDelta`] is malformed with respect to a graph of `n_old`
 /// vertices.
@@ -51,6 +51,8 @@ pub enum DeltaError {
     DuplicateAddEdge { u: NodeId, v: NodeId },
     /// The same undirected edge appears twice in `remove_edges`.
     DuplicateRemoveEdge { u: NodeId, v: NodeId },
+    /// An added vertex or edge weighs more than [`MAX_WEIGHT`].
+    WeightTooLarge { w: Weight, what: &'static str },
 }
 
 impl std::fmt::Display for DeltaError {
@@ -74,6 +76,9 @@ impl std::fmt::Display for DeltaError {
             }
             DeltaError::DuplicateRemoveEdge { u, v } => {
                 write!(f, "edge {{{u},{v}}} removed twice")
+            }
+            DeltaError::WeightTooLarge { w, what } => {
+                write!(f, "{what} weight {w} exceeds {MAX_WEIGHT}")
             }
         }
     }
@@ -124,13 +129,25 @@ impl GraphDelta {
     /// first structural violation as a typed [`DeltaError`].
     ///
     /// Everything checkable without the concrete graph is verified:
-    /// id ranges, `remove_vertices` ordering, self-loops, duplicate edge
+    /// weights up to [`MAX_WEIGHT`], id ranges, `remove_vertices` ordering, self-loops, duplicate edge
     /// entries, and edges naming removed vertices. A delta that passes
     /// can still be wrong about *edge existence* (removing an edge the
     /// old graph does not have, or re-adding one it does); those are
     /// caught by [`GraphDelta::apply`]'s assertions and, for queued
     /// sequences, by [`crate::coalesce::DeltaCoalescer::push`].
     pub fn validate(&self, n_old: usize) -> Result<(), DeltaError> {
+        let heavy =
+            |w: Weight, what| (w > MAX_WEIGHT).then_some(DeltaError::WeightTooLarge { w, what });
+        if let Some(e) = self.add_vertices.iter().find_map(|&w| heavy(w, "vertex")) {
+            return Err(e);
+        }
+        if let Some(e) = self
+            .add_edges
+            .iter()
+            .find_map(|&(_, _, w)| heavy(w, "edge"))
+        {
+            return Err(e);
+        }
         if !self.remove_vertices.windows(2).all(|w| w[0] < w[1]) {
             return Err(DeltaError::RemoveVerticesUnsorted);
         }
@@ -713,6 +730,39 @@ mod tests {
         assert_eq!(
             dup_rm.validate(n),
             Err(DeltaError::DuplicateRemoveEdge { u: 0, v: 4 })
+        );
+    }
+
+    #[test]
+    fn validate_refuses_weights_above_max() {
+        let n = 5;
+        let at_max = GraphDelta {
+            add_vertices: vec![MAX_WEIGHT],
+            add_edges: vec![(0, 5, MAX_WEIGHT)],
+            ..Default::default()
+        };
+        at_max.validate(n).unwrap();
+        let heavy_vertex = GraphDelta {
+            add_vertices: vec![1, MAX_WEIGHT + 1],
+            ..Default::default()
+        };
+        assert_eq!(
+            heavy_vertex.validate(n),
+            Err(DeltaError::WeightTooLarge {
+                w: 1 << 31,
+                what: "vertex"
+            })
+        );
+        let heavy_edge = GraphDelta {
+            add_edges: vec![(0, 2, u64::MAX / 2)],
+            ..Default::default()
+        };
+        assert_eq!(
+            heavy_edge.validate(n),
+            Err(DeltaError::WeightTooLarge {
+                w: u64::MAX / 2,
+                what: "edge"
+            })
         );
     }
 

@@ -26,7 +26,7 @@
 use crate::csr::{CsrBuilder, CsrGraph};
 use crate::delta::GraphDelta;
 use crate::partition::Partitioning;
-use crate::{NodeId, PartId, Weight};
+use crate::{NodeId, PartId, Weight, MAX_WEIGHT};
 use std::fmt::Write as _;
 
 /// Errors from the text and binary parsers.
@@ -168,12 +168,21 @@ pub fn read_metis(text: &str) -> Result<CsrGraph, ParseError> {
                 reason: format!("bad token {t:?}"),
             })
         });
+        let weight = |w: u64, what: &str| {
+            if w > MAX_WEIGHT {
+                return Err(ParseError::BadLine {
+                    line: lineno,
+                    reason: format!("{what} weight {w} exceeds {MAX_WEIGHT}"),
+                });
+            }
+            Ok(w as Weight)
+        };
         if has_vw {
             let w = toks.next().transpose()?.ok_or(ParseError::BadLine {
                 line: lineno,
                 reason: "missing vertex weight".into(),
             })?;
-            b.set_vertex_weight(v, w as Weight);
+            b.set_vertex_weight(v, weight(w, "vertex")?);
         }
         while let Some(u) = toks.next().transpose()? {
             if u == 0 || u as usize > n {
@@ -184,10 +193,11 @@ pub fn read_metis(text: &str) -> Result<CsrGraph, ParseError> {
             }
             let u = (u - 1) as NodeId;
             let w = if has_ew {
-                toks.next().transpose()?.ok_or(ParseError::BadLine {
+                let w = toks.next().transpose()?.ok_or(ParseError::BadLine {
                     line: lineno,
                     reason: "missing edge weight".into(),
-                })? as Weight
+                })?;
+                weight(w, "edge")?
             } else {
                 1
             };
@@ -614,6 +624,28 @@ pub fn read_delta_fields(fields: &[&str]) -> Result<GraphDelta, ParseError> {
 mod tests {
     use super::*;
     use crate::generators;
+
+    #[test]
+    fn metis_refuses_weights_above_max() {
+        let ring = |vw: Weight, ew: Weight| {
+            let mut text = String::from("3 3 011\n");
+            for v in 0..3 {
+                let (a, b) = ((v + 1) % 3 + 1, (v + 2) % 3 + 1);
+                text.push_str(&format!("{vw} {a} {ew} {b} {ew}\n"));
+            }
+            text
+        };
+        let g = read_metis(&ring(MAX_WEIGHT, MAX_WEIGHT)).unwrap();
+        assert_eq!(g.total_vertex_weight(), 3 * MAX_WEIGHT);
+        for (vw, ew) in [(MAX_WEIGHT + 1, 1), (1, MAX_WEIGHT + 1), (u64::MAX / 4, 1)] {
+            match read_metis(&ring(vw, ew)) {
+                Err(ParseError::BadLine { line: 2, reason }) => {
+                    assert!(reason.contains("exceeds"), "{reason}")
+                }
+                other => panic!("weights ({vw}, {ew}): {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_unweighted() {

@@ -72,6 +72,11 @@ pub type PartId = u32;
 /// we carry weights everywhere.
 pub type Weight = u64;
 
+/// Largest vertex or edge weight accepted from outside the process (a
+/// METIS upload, a delta). With at most `NodeId::MAX` vertices, every
+/// total vertex weight and every weighted degree then fits in `i64`.
+pub const MAX_WEIGHT: Weight = (1 << 31) - 1;
+
 /// Sentinel for "no vertex".
 pub const INVALID_NODE: NodeId = u32::MAX;
 

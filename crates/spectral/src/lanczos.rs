@@ -7,15 +7,25 @@
 //! its *smallest* Ritz pair. Full reorthogonalization keeps the Krylov
 //! basis clean (small subspaces: `m ≤ 120`), and the driver restarts on
 //! the best Ritz vector until the eigen-residual passes the tolerance.
+//!
+//! One restarted-Lanczos kernel has two starts:
+//! * [`fiedler_vector`] — the exact solver: a seeded random start on the
+//!   whole graph (the paper path's SB baseline);
+//! * [`fiedler_multilevel`] — multilevel spectral bisection (Barnard and
+//!   Simon, 1994): heavy-edge matching down to a small graph, the exact
+//!   solver there, then each finer level polished by a short run started
+//!   from the prolonged vector. Reorthogonalization against 80 vectors
+//!   on the full graph is what the exact solver spends its time on; the
+//!   multilevel solver does that only on the coarsest graph.
 
 use crate::laplacian::Laplacian;
 use crate::tridiag::eigen_tridiag;
-use igp_graph::CsrGraph;
+use igp_graph::{CsrBuilder, CsrGraph, NodeId, Weight, INVALID_NODE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Tuning parameters for [`fiedler_vector`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FiedlerOptions {
     /// Krylov subspace dimension per restart.
     pub subspace: usize,
@@ -81,11 +91,36 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 pub fn fiedler_vector(graph: &CsrGraph, opts: FiedlerOptions) -> FiedlerResult {
     let n = graph.num_vertices();
     assert!(n >= 2, "Fiedler vector needs at least 2 vertices");
-    let lap = Laplacian::new(graph);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut x: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
     orthogonalize_against_ones(&mut x);
     normalize(&mut x);
+    lanczos_from(
+        graph,
+        x,
+        opts.subspace,
+        opts.max_restarts,
+        opts.tol,
+        &mut rng,
+    )
+}
+
+/// Restarted Lanczos from `start` (unit norm, ⟂ 𝟙): up to `restarts`
+/// rounds of a `subspace`-vector Krylov basis with full
+/// reorthogonalization, each restarting on the previous round's best
+/// Ritz vector, until the eigen-residual passes `tol`. `rng` reseeds a
+/// degenerate start.
+fn lanczos_from(
+    graph: &CsrGraph,
+    start: Vec<f64>,
+    subspace: usize,
+    restarts: usize,
+    tol: f64,
+    rng: &mut StdRng,
+) -> FiedlerResult {
+    let n = graph.num_vertices();
+    let lap = Laplacian::new(graph);
+    let mut x = start;
     let mut matvecs = 0usize;
     let mut best = FiedlerResult {
         vector: x.clone(),
@@ -94,8 +129,8 @@ pub fn fiedler_vector(graph: &CsrGraph, opts: FiedlerOptions) -> FiedlerResult {
         matvecs: 0,
     };
 
-    for restart in 0..opts.max_restarts {
-        let m = opts.subspace.min(n - 1).max(2);
+    for _ in 0..restarts {
+        let m = subspace.min(n - 1).max(2);
         // Lanczos with full reorthogonalization.
         let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
         let mut alpha = Vec::with_capacity(m);
@@ -174,14 +209,116 @@ pub fn fiedler_vector(graph: &CsrGraph, opts: FiedlerOptions) -> FiedlerResult {
                 matvecs,
             };
         }
-        if res <= opts.tol * lam.abs().max(1.0) {
+        if res <= tol * lam.abs().max(1.0) {
             break;
         }
         x = y;
-        let _ = restart;
     }
     best.matvecs = matvecs;
     best
+}
+
+/// Coarsening stops once a level is at most this large (so graphs this
+/// small are solved directly).
+const COARSEST: usize = 256;
+/// Krylov dimension of a level's polish.
+const POLISH_SUBSPACE: usize = 30;
+/// Lanczos restarts of a level's polish.
+const POLISH_RESTARTS: usize = 2;
+/// Residual tolerance of a level's polish.
+const POLISH_TOL: f64 = 1e-3;
+
+/// The Fiedler vector by multilevel spectral bisection (Barnard and
+/// Simon, 1994): coarsen by heavy-edge matching until at most 256
+/// vertices remain (or a level shrinks by less than 10 %), solve there
+/// with [`fiedler_vector`], then prolong by injection and polish on each
+/// finer level with a short Lanczos run (30 vectors, 2 restarts, tol
+/// 1e-3) started from the prolonged vector. Graphs of at most 256
+/// vertices go straight to [`fiedler_vector`]. `matvecs` counts every
+/// level's products.
+pub fn fiedler_multilevel(graph: &CsrGraph, opts: FiedlerOptions) -> FiedlerResult {
+    // `levels[i]` maps the vertices of graph i (0 = `graph`) onto graph
+    // i + 1, the next entry of `graphs`.
+    let mut graphs: Vec<CsrGraph> = Vec::new();
+    let mut levels: Vec<Vec<NodeId>> = Vec::new();
+    loop {
+        let fine = graphs.last().unwrap_or(graph);
+        let n = fine.num_vertices();
+        if n <= COARSEST {
+            break;
+        }
+        let (coarse, coarse_of) = coarsen(fine);
+        if coarse.num_vertices() * 10 > n * 9 {
+            break;
+        }
+        graphs.push(coarse);
+        levels.push(coarse_of);
+    }
+    let mut result = fiedler_vector(graphs.last().unwrap_or(graph), opts);
+    let mut matvecs = result.matvecs;
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    for (i, coarse_of) in levels.iter().enumerate().rev() {
+        let fine = if i == 0 { graph } else { &graphs[i - 1] };
+        let mut x: Vec<f64> = coarse_of
+            .iter()
+            .map(|&c| result.vector[c as usize])
+            .collect();
+        orthogonalize_against_ones(&mut x);
+        normalize(&mut x);
+        result = lanczos_from(
+            fine,
+            x,
+            POLISH_SUBSPACE,
+            POLISH_RESTARTS,
+            POLISH_TOL,
+            &mut rng,
+        );
+        matvecs += result.matvecs;
+    }
+    result.matvecs = matvecs;
+    result
+}
+
+/// One level of heavy-edge matching: visit vertices in ascending id and
+/// match each unmatched one to its heaviest unmatched neighbour (ties to
+/// the lower id). Returns the coarse graph, whose edge weights are the
+/// summed weights of the fine edges between two coarse vertices, and
+/// the fine → coarse map (coarse ids follow each pair's lower id).
+fn coarsen(g: &CsrGraph) -> (CsrGraph, Vec<NodeId>) {
+    let mut coarse_of = vec![INVALID_NODE; g.num_vertices()];
+    // Each coarse vertex's fine pair; an unmatched vertex pairs itself.
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+    for v in g.vertices() {
+        if coarse_of[v as usize] != INVALID_NODE {
+            continue;
+        }
+        let mut best: Option<(Weight, NodeId)> = None;
+        for (u, w) in g.edges_of(v) {
+            // Rows are sorted, so the first of equal weights is the lower id.
+            if coarse_of[u as usize] == INVALID_NODE && best.is_none_or(|(bw, _)| w > bw) {
+                best = Some((w, u));
+            }
+        }
+        let u = best.map_or(v, |(_, u)| u);
+        coarse_of[v as usize] = pairs.len() as NodeId;
+        coarse_of[u as usize] = pairs.len() as NodeId;
+        pairs.push((v, u));
+    }
+    let mut b = CsrBuilder::new(pairs.len());
+    let mut row: Vec<(NodeId, Weight)> = Vec::new();
+    for (c, &(v, u)) in pairs.iter().enumerate() {
+        row.clear();
+        for x in std::iter::once(v).chain((u != v).then_some(u)) {
+            let edges = g.edges_of(x).map(|(y, w)| (coarse_of[y as usize], w));
+            row.extend(edges.filter(|&(cy, _)| cy as usize > c));
+        }
+        row.sort_unstable_by_key(|&(cy, _)| cy);
+        for run in row.chunk_by(|a, b| a.0 == b.0) {
+            let w = run.iter().fold(0, |s: Weight, &(_, w)| s.saturating_add(w));
+            b.add_edge(c as NodeId, run[0].0, w);
+        }
+    }
+    (b.build(), coarse_of)
 }
 
 #[cfg(test)]
@@ -270,5 +407,137 @@ mod tests {
             "λ₂ of a disconnected graph is 0, got {}",
             r.value
         );
+    }
+
+    /// FNV-1a over every bit of a result.
+    fn result_hash(r: &FiedlerResult) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let words = r.vector.iter().chain([&r.value, &r.residual]);
+        for x in words.map(|v| v.to_bits()).chain([r.matvecs as u64]) {
+            for b in x.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn exact_solver_bits_unchanged() {
+        // Captured before the restart loop moved into `lanczos_from`:
+        // the exact solver must reproduce every bit, restarts included
+        // (the path takes 12 of them under the default options).
+        let short = FiedlerOptions {
+            subspace: 20,
+            max_restarts: 3,
+            tol: 1e-3,
+            seed: 7,
+        };
+        let cases = [
+            (
+                generators::grid(12, 20),
+                0xf233_2adc_798b_3dbf,
+                0x2038_be6f_f802_179f,
+            ),
+            (
+                generators::random_geometric(300, 0.12, 3),
+                0x9885_d94d_ee50_f69e,
+                0x3a04_ac48_ec3c_539c,
+            ),
+            (
+                generators::complete(9),
+                0x0803_9e26_5bb9_1f9d,
+                0xcd88_e7e5_7a51_9bf1,
+            ),
+            (
+                generators::path(300),
+                0x2b19_25ac_5834_be3c,
+                0x1a7f_4f89_cec3_6241,
+            ),
+        ];
+        for (g, default, shortened) in cases {
+            let n = g.num_vertices();
+            let got = result_hash(&fiedler_vector(&g, FiedlerOptions::default()));
+            assert_eq!(got, default, "n={n}, default options");
+            assert_eq!(result_hash(&fiedler_vector(&g, short)), shortened, "n={n}");
+        }
+    }
+
+    #[test]
+    fn multilevel_path_and_cycle_lambda2_match_closed_form() {
+        let pi = std::f64::consts::PI;
+        for (g, expect) in [
+            (generators::path(400), 2.0 * (1.0 - (pi / 400.0).cos())),
+            (
+                generators::cycle(360),
+                2.0 * (1.0 - (2.0 * pi / 360.0).cos()),
+            ),
+        ] {
+            let r = fiedler_multilevel(&g, FiedlerOptions::default());
+            let rel = (r.value - expect).abs() / expect;
+            assert!(rel < 1e-3, "λ₂ {} vs {expect} (rel {rel:e})", r.value);
+        }
+    }
+
+    #[test]
+    fn multilevel_long_grid_separates_the_ends() {
+        let (rows, cols) = (6, 80);
+        let g = generators::grid(rows, cols);
+        let r = fiedler_multilevel(&g, FiedlerOptions::default());
+        let column = |c: usize| (0..rows).map(|row| r.vector[row * cols + c]).sum::<f64>();
+        assert!(
+            column(0) * column(cols - 1) < 0.0,
+            "ends must have opposite sign"
+        );
+        let sum: f64 = r.vector.iter().sum();
+        let norm: f64 = r.vector.iter().map(|v| v * v).sum::<f64>().sqrt();
+        assert!(sum.abs() < 1e-8 && (norm - 1.0).abs() < 1e-8);
+    }
+
+    #[test]
+    fn multilevel_is_deterministic_and_counts_every_level() {
+        let g = generators::grid(24, 30);
+        let a = fiedler_multilevel(&g, FiedlerOptions::default());
+        let b = fiedler_multilevel(&g, FiedlerOptions::default());
+        assert_eq!(result_hash(&a), result_hash(&b));
+        // The finest level's polish alone is at most 2 × (30 + 1) products.
+        assert!(a.matvecs > 2 * (POLISH_SUBSPACE + 1), "{}", a.matvecs);
+    }
+
+    #[test]
+    fn multilevel_small_graph_is_the_exact_solver() {
+        let g = generators::grid(12, 20);
+        let (ml, exact) = (
+            fiedler_multilevel(&g, FiedlerOptions::default()),
+            fiedler_vector(&g, FiedlerOptions::default()),
+        );
+        assert_eq!(result_hash(&ml), result_hash(&exact));
+    }
+
+    #[test]
+    fn coarsening_conserves_unmatched_edge_weight() {
+        // Varied weights, so the heaviest-neighbour choice matters.
+        let base = generators::grid(9, 11);
+        let edges: Vec<_> = base
+            .undirected_edges()
+            .map(|(u, v, _)| (u, v, 1 + (u as Weight * 7 + v as Weight * 3) % 5))
+            .collect();
+        let g = CsrGraph::from_weighted_edges(base.num_vertices(), &edges);
+        let (coarse, coarse_of) = coarsen(&g);
+        coarse.validate().unwrap();
+        let total = |g: &CsrGraph| g.undirected_edges().map(|(_, _, w)| w).sum::<Weight>();
+        let matched: Weight = edges
+            .iter()
+            .filter(|&&(u, v, _)| coarse_of[u as usize] == coarse_of[v as usize])
+            .map(|&(_, _, w)| w)
+            .sum();
+        assert!(matched > 0);
+        assert_eq!(total(&coarse), total(&g) - matched);
+        // Every coarse vertex holds one or two fine vertices.
+        let mut size = vec![0usize; coarse.num_vertices()];
+        for &c in &coarse_of {
+            size[c as usize] += 1;
+        }
+        assert!(size.iter().all(|&s| s == 1 || s == 2));
     }
 }

@@ -8,12 +8,18 @@
 //! * [`laplacian`] — graph Laplacian operator (matrix-free matvec).
 //! * [`lanczos`] — Lanczos iteration with full reorthogonalization and
 //!   constant-vector deflation to extract the **Fiedler vector** (the
-//!   eigenvector of the second-smallest Laplacian eigenvalue).
+//!   eigenvector of the second-smallest Laplacian eigenvalue): exactly
+//!   ([`fiedler_vector`]), or multilevel ([`fiedler_multilevel`]:
+//!   heavy-edge coarsening, an exact solve on the coarsest graph, a
+//!   short Lanczos polish per finer level).
 //! * [`tridiag`] — implicit-shift QL eigensolver for the symmetric
 //!   tridiagonal Rayleigh–Ritz systems Lanczos produces.
 //! * [`rsb`] — the recursive driver: sort by Fiedler value, split at the
 //!   weighted median, recurse; handles disconnected subgraphs and
 //!   arbitrary (non-power-of-two) partition counts.
+//!   [`RsbOptions::default()`] (what sessions serve on) runs the
+//!   multilevel solver; [`RsbOptions::paper()`] (the SB baseline of
+//!   every paper table) runs the exact one.
 //! * [`rcb`] — recursive coordinate bisection, a cheaper geometric
 //!   baseline used in ablations (the paper's introduction lists it among
 //!   the standard heuristics).
@@ -36,6 +42,6 @@ pub mod rcb;
 pub mod rsb;
 pub mod tridiag;
 
-pub use lanczos::{fiedler_vector, FiedlerOptions};
+pub use lanczos::{fiedler_multilevel, fiedler_vector, FiedlerOptions};
 pub use rcb::recursive_coordinate_bisection;
-pub use rsb::{recursive_spectral_bisection, RsbOptions};
+pub use rsb::{recursive_spectral_bisection, FiedlerSolver, RsbOptions};

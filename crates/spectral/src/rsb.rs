@@ -7,15 +7,39 @@
 //! by concatenating components before the split, which keeps whole
 //! components together whenever sizes allow.
 
-use crate::lanczos::{fiedler_vector, FiedlerOptions};
+use crate::lanczos::{fiedler_multilevel, fiedler_vector, FiedlerOptions};
 use igp_graph::traversal::connected_components;
 use igp_graph::{CsrGraph, NodeId, PartId, Partitioning};
 
+/// Which Fiedler solver each bisection runs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum FiedlerSolver {
+    /// [`fiedler_multilevel`]: coarsen, solve small, polish each level.
+    #[default]
+    Multilevel,
+    /// [`fiedler_vector`]: restarted Lanczos on the whole subgraph.
+    Exact,
+}
+
 /// RSB options.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RsbOptions {
-    /// Fiedler solver parameters.
+    /// Fiedler solver parameters (for [`FiedlerSolver::Multilevel`],
+    /// those of its coarsest-level solve).
     pub fiedler: FiedlerOptions,
+    /// The solver: multilevel by default, exact on the paper path.
+    pub solver: FiedlerSolver,
+}
+
+impl RsbOptions {
+    /// The paper's SB baseline: every Fiedler vector from the exact
+    /// Lanczos solver. Every `repro_*` table and paper golden runs it.
+    pub fn paper() -> Self {
+        RsbOptions {
+            solver: FiedlerSolver::Exact,
+            ..Self::default()
+        }
+    }
 }
 
 /// Partition `graph` into `p` parts by recursive spectral bisection.
@@ -72,7 +96,10 @@ fn split_order(graph: &CsrGraph, verts: &[NodeId], opts: &RsbOptions) -> Vec<Nod
     };
     let (ncomp, comp) = connected_components(&sub);
     if ncomp == 1 {
-        let fied = fiedler_vector(&sub, opts.fiedler);
+        let fied = match opts.solver {
+            FiedlerSolver::Multilevel => fiedler_multilevel(&sub, opts.fiedler),
+            FiedlerSolver::Exact => fiedler_vector(&sub, opts.fiedler),
+        };
         let mut idx: Vec<u32> = (0..sub.num_vertices() as u32).collect();
         idx.sort_by(|&a, &b| {
             fied.vector[a as usize]
@@ -192,6 +219,20 @@ mod tests {
         assert_eq!(part.num_parts(), 8);
         // Every part non-empty and balanced.
         assert!(part.counts().iter().all(|&c| c == 32));
+    }
+
+    #[test]
+    fn paper_differs_from_default_only_in_solver() {
+        let (paper, serving) = (RsbOptions::paper(), RsbOptions::default());
+        assert_eq!(paper.solver, FiedlerSolver::Exact);
+        assert_eq!(serving.solver, FiedlerSolver::Multilevel);
+        assert_eq!(
+            RsbOptions {
+                solver: serving.solver,
+                ..paper
+            },
+            serving
+        );
     }
 
     #[test]

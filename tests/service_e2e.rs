@@ -7,7 +7,7 @@
 mod common;
 
 use igp::graph::{generators, CsrGraph, GraphDelta, PartId};
-use igp::service::client::{DeltaAck, IgpClient};
+use igp::service::client::{ClientError, DeltaAck, IgpClient};
 use igp::service::server::{serve, ServeOptions};
 use igp::service::session::{Ingest, InitPartition, ServiceSession, SessionConfig};
 use igp::service::RepartitionPolicy;
@@ -173,6 +173,40 @@ fn malformed_open_drains_graph_block() {
     drop(stream);
 
     let mut cli = IgpClient::connect(server.addr()).expect("connect");
+    cli.shutdown().expect("shutdown");
+    server.wait();
+}
+
+/// A METIS upload whose weights exceed `MAX_WEIGHT` is refused with
+/// `ERR graph` before any sum over it is taken, and a session already
+/// open on the daemon keeps serving.
+#[test]
+fn open_with_out_of_range_weight_answers_err() {
+    let server = serve("127.0.0.1:0", ServeOptions::default()).expect("bind");
+    let mut cli = IgpClient::connect(server.addr()).expect("connect");
+    let sibling = generators::grid(4, 4);
+    cli.open("ok", &sibling, &SessionConfig::new(2))
+        .expect("open sibling");
+
+    let mut heavy = generators::cycle(12);
+    heavy.set_vertex_weights(vec![1 << 31; 12]);
+    match cli.open("heavy", &heavy, &SessionConfig::new(2)) {
+        Err(ClientError::Server { kind, detail }) => {
+            assert_eq!(kind, "graph", "{detail}");
+            assert!(detail.contains("exceeds"), "{detail}");
+        }
+        other => panic!("expected ERR graph, got {other:?}"),
+    }
+    assert_eq!(cli.list().expect("list"), vec!["ok".to_string()]);
+
+    let grow = GraphDelta {
+        add_vertices: vec![1],
+        add_edges: vec![(15, 16, 1)],
+        ..Default::default()
+    };
+    cli.delta("ok", &grow).expect("sibling still serves");
+    cli.flush("ok").expect("flush");
+    assert_eq!(cli.partition("ok").expect("part").len(), 17);
     cli.shutdown().expect("shutdown");
     server.wait();
 }

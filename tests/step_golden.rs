@@ -299,7 +299,8 @@ fn window_rows(cfg: IgpConfig) -> Vec<Row> {
     let last = deltas.last().unwrap();
     assert!(!last.add_vertices.is_empty() && !last.remove_vertices.is_empty());
     assert!(!last.add_edges.is_empty() && !last.remove_edges.is_empty());
-    let part = recursive_spectral_bisection(&base, PARTS, RsbOptions::default());
+    // The paper's exact RSB: both tables were captured on its partition.
+    let part = recursive_spectral_bisection(&base, PARTS, RsbOptions::paper());
     let igpr = IncrementalPartitioner::igpr(cfg.clone());
     let mut session = IgpSession::new(base, part, cfg, true);
     let mut got = Vec::with_capacity(deltas.len());
