@@ -40,25 +40,6 @@ impl Layering {
     pub fn lambda(&self, i: PartId, j: PartId) -> u64 {
         self.lambda[i as usize * self.num_parts + j as usize]
     }
-
-    /// Ordered movement buckets: for each `(i, j)` the vertices of `i`
-    /// tagged `j`, sorted by `(level, id)` — the order phase 3 drains.
-    pub fn buckets(&self, assign: &[PartId]) -> Vec<Vec<NodeId>> {
-        let p = self.num_parts;
-        let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); p * p];
-        // Collect (level, v) then sort each bucket.
-        let mut tmp: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); p * p];
-        for (v, (&t, &l)) in self.tag.iter().zip(&self.level).enumerate() {
-            if t != NO_PART {
-                tmp[assign[v] as usize * p + t as usize].push((l, v as NodeId));
-            }
-        }
-        for (b, mut list) in buckets.iter_mut().zip(tmp) {
-            list.sort_unstable();
-            *b = list.into_iter().map(|(_, v)| v).collect();
-        }
-        buckets
-    }
 }
 
 /// Layer every partition.
@@ -294,9 +275,6 @@ impl LayerCarry {
 }
 
 #[cfg(test)]
-// Bucket/assignment indices are written `row * stride + col` even when
-// the row is 0, keeping the flat-matrix layout visible.
-#[allow(clippy::identity_op, clippy::erasing_op)]
 mod tests {
     use super::*;
     use igp_graph::{generators, Partitioning};
@@ -391,16 +369,6 @@ mod tests {
         assert_eq!(lay.level[4], u32::MAX);
         // λ only counts taggable vertices.
         assert_eq!(lay.lambda(0, 1), 2);
-    }
-
-    #[test]
-    fn buckets_sorted_by_level() {
-        let (g, assign) = path_setup();
-        let lay = layer_partitions(&g, &assign, 2);
-        let buckets = lay.buckets(&assign);
-        // Bucket (0 → 1): vertices 3,2,1,0 in boundary-first order.
-        assert_eq!(buckets[0 * 2 + 1], vec![3, 2, 1, 0]);
-        assert_eq!(buckets[1 * 2 + 0], vec![4, 5, 6, 7]);
     }
 
     #[test]

@@ -24,9 +24,6 @@
 //!   selected by [`IgpConfig::backend`]: [`Backend::SimCm5`] for
 //!   simulated CM-5 timings (figure reproduction) or
 //!   [`Backend::SharedMem`] for real wall-clock execution.
-//! * [`multilevel`] — the paper's future-work extension ("another option
-//!   is to use a multilevel approach"): heavy-edge-matching coarsening
-//!   with IGP applied on the coarse graph.
 //! * [`session::IgpSession`] — the solver-loop API: owns the evolving
 //!   graph + partitioning, applies successive increments and raises the
 //!   paper's from-scratch signal on capped-balance infeasibility.
@@ -35,7 +32,6 @@ pub mod assign;
 pub mod balance;
 pub mod config;
 pub mod layer;
-pub mod multilevel;
 pub mod obs;
 pub mod parallel;
 pub mod partitioner;

@@ -2,13 +2,12 @@
 //!
 //! These complement the mesh workloads in `igp-mesh`: they exercise the
 //! partitioner on structures with known properties (grids, tori, random
-//! geometric graphs, trees) and provide randomized incremental deltas.
+//! geometric graphs) and provide randomized incremental deltas.
 
 use crate::csr::{CsrBuilder, CsrGraph};
 use crate::delta::GraphDelta;
+use crate::rng::SplitMix64;
 use crate::NodeId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// `rows × cols` 4-neighbour grid.
 pub fn grid(rows: usize, cols: usize) -> CsrGraph {
@@ -71,22 +70,12 @@ pub fn complete(n: usize) -> CsrGraph {
     CsrGraph::from_edges(n, &edges)
 }
 
-/// Balanced binary tree with `n` vertices (parent `⌊(i−1)/2⌋`).
-pub fn binary_tree(n: usize) -> CsrGraph {
-    let edges: Vec<(NodeId, NodeId)> = (1..n)
-        .map(|i| (((i - 1) / 2) as NodeId, i as NodeId))
-        .collect();
-    CsrGraph::from_edges(n, &edges)
-}
-
 /// Random geometric graph: `n` points uniform in the unit square, edges
 /// between pairs closer than `radius`. The classic model for mesh-like
 /// irregular computation graphs. Uses a grid spatial index (O(n) expected).
 pub fn random_geometric(n: usize, radius: f64, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pts: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
+    let mut rng = SplitMix64::new(seed);
+    let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.unit_f64(), rng.unit_f64())).collect();
     let cells = (1.0 / radius).floor().max(1.0) as usize;
     let cell_of = |x: f64| ((x * cells as f64) as usize).min(cells - 1);
     let mut grid_idx: Vec<Vec<u32>> = vec![Vec::new(); cells * cells];
@@ -117,11 +106,11 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> CsrGraph {
 
 /// Erdős–Rényi `G(n, p)` (only for small tests — dense representation).
 pub fn gnp(n: usize, p: f64, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut b = CsrBuilder::new(n);
     for u in 0..n {
         for v in u + 1..n {
-            if rng.gen::<f64>() < p {
+            if rng.unit_f64() < p {
                 b.add_edge(u as NodeId, v as NodeId, 1);
             }
         }
@@ -134,7 +123,7 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> CsrGraph {
 /// BFS ball around `center` plus previously added vertices. Mirrors the
 /// paper's "renements in a localized area".
 pub fn localized_growth_delta(graph: &CsrGraph, center: NodeId, k: usize, seed: u64) -> GraphDelta {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let dist = crate::traversal::bfs_distances(graph, &[center]);
     // Hosts: the ~4k nearest old vertices to the centre.
     let mut hosts: Vec<NodeId> = graph.vertices().collect();
@@ -146,11 +135,11 @@ pub fn localized_growth_delta(graph: &CsrGraph, center: NodeId, k: usize, seed: 
     for i in 0..k {
         let new_id = n_old + i as NodeId;
         delta.add_vertices.push(1);
-        let fan = 1 + rng.gen_range(0..3usize).min(attach_pool.len() - 1);
+        let fan = 1 + rng.below(3).min(attach_pool.len() - 1);
         // Sample `fan` distinct hosts.
         let mut chosen: Vec<NodeId> = Vec::with_capacity(fan);
         while chosen.len() < fan {
-            let h = attach_pool[rng.gen_range(0..attach_pool.len())];
+            let h = attach_pool[rng.below(attach_pool.len())];
             if !chosen.contains(&h) {
                 chosen.push(h);
             }
@@ -174,7 +163,7 @@ pub fn localized_growth_delta(graph: &CsrGraph, center: NodeId, k: usize, seed: 
 /// Unlike [`localized_growth_delta`] it exercises the full edit algebra:
 /// vertex deletion, edge deletion, and deletion/re-addition interplay.
 pub fn random_churn_delta(graph: &CsrGraph, adds: usize, removes: usize, seed: u64) -> GraphDelta {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let n_old = graph.num_vertices();
     let mut delta = GraphDelta::default();
     // Remove vertices, never more than a quarter of the graph so the
@@ -182,7 +171,7 @@ pub fn random_churn_delta(graph: &CsrGraph, adds: usize, removes: usize, seed: u
     let max_rm = removes.min(n_old / 4);
     let mut removed = vec![false; n_old];
     for _ in 0..max_rm {
-        let v = rng.gen_range(0..n_old);
+        let v = rng.below(n_old);
         if !removed[v] {
             removed[v] = true;
             delta.remove_vertices.push(v as NodeId);
@@ -204,7 +193,7 @@ pub fn random_churn_delta(graph: &CsrGraph, adds: usize, removes: usize, seed: u
     let edge_removes = (max_rm / 2 + adds / 4).min(survivor_edges.len() / 4);
     let mut killed: Vec<(NodeId, NodeId)> = Vec::new();
     for _ in 0..edge_removes {
-        let e = survivor_edges[rng.gen_range(0..survivor_edges.len())];
+        let e = survivor_edges[rng.below(survivor_edges.len())];
         if !killed.contains(&e) && deg_left[e.0 as usize] > 1 && deg_left[e.1 as usize] > 1 {
             deg_left[e.0 as usize] -= 1;
             deg_left[e.1 as usize] -= 1;
@@ -225,16 +214,14 @@ pub fn random_churn_delta(graph: &CsrGraph, adds: usize, removes: usize, seed: u
     };
     for i in 0..adds {
         let new_id = (n_old + i) as NodeId;
-        delta.add_vertices.push(1 + rng.gen_range(0..3usize) as u64);
-        let fan = 1 + rng.gen_range(0..2usize).min(attach_pool.len() - 1);
+        delta.add_vertices.push(1 + rng.below(3) as u64);
+        let fan = 1 + rng.below(2).min(attach_pool.len() - 1);
         let mut linked = 0;
         while linked < fan {
-            let h = attach_pool[rng.gen_range(0..attach_pool.len())];
+            let h = attach_pool[rng.below(attach_pool.len())];
             if h != new_id && !present(&delta, h, new_id) {
                 let k = if h < new_id { (h, new_id) } else { (new_id, h) };
-                delta
-                    .add_edges
-                    .push((k.0, k.1, 1 + rng.gen_range(0..4usize) as u64));
+                delta.add_edges.push((k.0, k.1, 1 + rng.below(4) as u64));
                 linked += 1;
             }
         }
@@ -242,15 +229,13 @@ pub fn random_churn_delta(graph: &CsrGraph, adds: usize, removes: usize, seed: u
     }
     // Occasionally re-link two survivors (possibly re-adding a killed
     // edge with a fresh weight — the fold-to-weight-update case).
-    if survivors.len() >= 2 && rng.gen_range(0..3) == 0 {
+    if survivors.len() >= 2 && rng.below(3) == 0 {
         for _ in 0..4 {
-            let a = survivors[rng.gen_range(0..survivors.len())];
-            let b = survivors[rng.gen_range(0..survivors.len())];
+            let a = survivors[rng.below(survivors.len())];
+            let b = survivors[rng.below(survivors.len())];
             if a != b && !present(&delta, a, b) {
                 let k = if a < b { (a, b) } else { (b, a) };
-                delta
-                    .add_edges
-                    .push((k.0, k.1, 1 + rng.gen_range(0..4usize) as u64));
+                delta.add_edges.push((k.0, k.1, 1 + rng.below(4) as u64));
                 break;
             }
         }
@@ -287,15 +272,6 @@ mod tests {
         let g = complete(6);
         assert_eq!(g.num_edges(), 15);
         assert!(g.vertices().all(|v| g.degree(v) == 5));
-    }
-
-    #[test]
-    fn binary_tree_structure() {
-        let g = binary_tree(7);
-        assert_eq!(g.num_edges(), 6);
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.degree(3), 1);
-        assert!(is_connected(&g));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! * [`traversal`] — BFS utilities (single and multi-source, ownership
 //!   propagation) used by the assignment and layering phases.
 //! * [`generators`] — synthetic graph families for tests and benches.
+//! * [`rng`] — [`rng::SplitMix64`], the one seeded generator every
+//!   generated graph, mesh and RSB start vector draws from.
 //! * [`io`] — a METIS-compatible plain-text graph format reader/writer.
 //!
 //! All hot data structures follow the flat-`Vec` + `u32`-index idiom: no
@@ -50,6 +52,7 @@ pub mod generators;
 pub mod io;
 pub mod metrics;
 pub mod partition;
+pub mod rng;
 pub mod traversal;
 
 pub use coalesce::{coalesce, CoalesceError, DeltaCoalescer, DirtStats};

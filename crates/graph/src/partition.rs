@@ -184,18 +184,6 @@ impl Partitioning {
         }
     }
 
-    /// Max/avg weight imbalance ratio.
-    pub fn weight_imbalance(&self) -> f64 {
-        let max = *self.weights.iter().max().unwrap_or(&0) as f64;
-        let total: Weight = self.weights.iter().sum();
-        let avg = total as f64 / self.num_parts as f64;
-        if avg == 0.0 {
-            1.0
-        } else {
-            max / avg
-        }
-    }
-
     /// Members of partition `p`, ascending.
     pub fn members(&self, p: PartId) -> Vec<NodeId> {
         self.assign
@@ -236,27 +224,6 @@ impl Partitioning {
         graph
             .vertices()
             .filter(|&v| self.is_boundary(graph, v))
-            .collect()
-    }
-
-    /// The set of partitions adjacent to `p` (the paper's `Neighbor_p`).
-    pub fn neighbor_parts(&self, graph: &CsrGraph, p: PartId) -> Vec<PartId> {
-        let mut seen = vec![false; self.num_parts];
-        for v in graph.vertices() {
-            if self.assign[v as usize] != p {
-                continue;
-            }
-            for &u in graph.neighbors(v) {
-                let q = self.assign[u as usize];
-                if q != p {
-                    seen[q as usize] = true;
-                }
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|&(_, &s)| s)
-            .map(|(q, _)| q as PartId)
             .collect()
     }
 
@@ -365,14 +332,6 @@ mod tests {
         assert_eq!(p.boundary_vertices(&g), vec![0, 2, 3, 5]);
         assert!(!p.is_boundary(&g, 1));
         assert!(!p.is_boundary(&g, 4));
-    }
-
-    #[test]
-    fn neighbor_parts() {
-        let g = cycle6();
-        let p = halves(&g);
-        assert_eq!(p.neighbor_parts(&g, 0), vec![1]);
-        assert_eq!(p.neighbor_parts(&g, 1), vec![0]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! multi-source BFS problems provided here in reusable form.
 
 use crate::csr::CsrGraph;
-use crate::{NodeId, INVALID_NODE};
+use crate::NodeId;
 
 /// Distance label for unreachable vertices.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -219,19 +219,6 @@ pub fn verify_nearest_owner(
         }
     }
     true
-}
-
-/// Convenience: nearest old vertex distances for an incremental graph
-/// (sources = all surviving vertices).
-pub fn survivor_seeds(inc: &crate::IncrementalGraph, part_of_old: &[u32]) -> Vec<(NodeId, u32)> {
-    let mut seeds = Vec::with_capacity(inc.num_survivors());
-    for v in inc.new_graph().vertices() {
-        let old = inc.old_of_new(v);
-        if old != INVALID_NODE {
-            seeds.push((v, part_of_old[old as usize]));
-        }
-    }
-    seeds
 }
 
 #[cfg(test)]

@@ -35,11 +35,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
     /// Add arc `u → v` with capacity `cap ≥ 0` and per-unit cost `cost`.
     /// Returns the arc id (use with [`FlowNetwork::flow_on`]).
     pub fn add_edge(&mut self, u: usize, v: usize, cap: i64, cost: i64) -> usize {

@@ -107,11 +107,6 @@ impl Delaunay {
         out
     }
 
-    /// Count of live internal triangles (including super-adjacent ones).
-    pub fn num_live_triangles(&self) -> usize {
-        self.tris.iter().filter(|t| t.alive).count()
-    }
-
     /// Walk from the hint triangle to one containing `p`.
     fn locate(&self, p: Point) -> u32 {
         let mut t = self.hint;

@@ -92,21 +92,6 @@ pub fn centroid(a: Point, b: Point, c: Point) -> Point {
     Point::new((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
 }
 
-/// Circumcenter of triangle `abc`; returns the centroid as a fallback for
-/// (near-)degenerate triangles.
-pub fn circumcenter(a: Point, b: Point, c: Point) -> Point {
-    let d = 2.0 * ((a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x));
-    if d.abs() < 1e-30 {
-        return centroid(a, b, c);
-    }
-    let a2 = a.x * a.x + a.y * a.y;
-    let b2 = b.x * b.x + b.y * b.y;
-    let c2 = c.x * c.x + c.y * c.y;
-    let ux = (a2 - c2) * (b.y - c.y) - (b2 - c2) * (a.y - c.y);
-    let uy = (b2 - c2) * (a.x - c.x) - (a2 - c2) * (b.x - c.x);
-    Point::new(ux / d, uy / d)
-}
-
 /// True if point `p` lies inside or on the boundary of CCW triangle `abc`.
 #[inline]
 pub fn point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool {
@@ -166,22 +151,6 @@ mod tests {
         assert!(in_circle(P00, P10, P01, outside) < 0.0);
         // (1,1) is exactly on the circle.
         assert_eq!(in_circle(P00, P10, P01, P11), 0.0);
-    }
-
-    #[test]
-    fn circumcenter_right_triangle() {
-        let cc = circumcenter(P00, P10, P01);
-        assert!((cc.x - 0.5).abs() < 1e-12);
-        assert!((cc.y - 0.5).abs() < 1e-12);
-        // Equidistance.
-        assert!((cc.dist(P00) - cc.dist(P10)).abs() < 1e-12);
-        assert!((cc.dist(P00) - cc.dist(P01)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_circumcenter_falls_back() {
-        let cc = circumcenter(P00, P10, Point::new(2.0, 0.0));
-        assert!((cc.x - 1.0).abs() < 1e-12); // centroid of collinear points
     }
 
     #[test]

@@ -23,11 +23,6 @@ impl TriMesh {
         self.points.len()
     }
 
-    /// Number of triangles.
-    pub fn num_triangles(&self) -> usize {
-        self.tris.len()
-    }
-
     /// Unique undirected triangle edges, sorted.
     pub fn edges(&self) -> Vec<(u32, u32)> {
         let mut e = Vec::with_capacity(self.tris.len() * 3);

@@ -12,15 +12,14 @@ use crate::delaunay::Delaunay;
 use crate::domain::{Disc, Domain};
 use crate::geometry::{centroid, tri_area, Point};
 use crate::mesh::TriMesh;
+use igp_graph::rng::SplitMix64;
 use igp_graph::CsrGraph;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A mesh under construction/refinement.
 pub struct MeshBuilder<D: Domain> {
     domain: D,
     del: Delaunay,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl<D: Domain + Clone> Clone for MeshBuilder<D> {
@@ -41,7 +40,7 @@ impl<D: Domain> MeshBuilder<D> {
     pub fn generate(domain: D, n: usize, seed: u64) -> Self {
         let (lo, hi) = domain.bounding_box();
         let mut del = Delaunay::new(lo, hi);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut placed: Vec<Point> = Vec::with_capacity(n);
         // Coarse grid over the bbox for nearest-point queries.
         let cells = ((n as f64).sqrt().ceil() as usize).max(1);
@@ -78,11 +77,11 @@ impl<D: Domain> MeshBuilder<D> {
             }
             best
         };
-        let sample_inside = |rng: &mut StdRng, domain: &D| -> Point {
+        let sample_inside = |rng: &mut SplitMix64, domain: &D| -> Point {
             for _ in 0..100_000 {
                 let p = Point::new(
-                    lo.x + rng.gen::<f64>() * (hi.x - lo.x),
-                    lo.y + rng.gen::<f64>() * (hi.y - lo.y),
+                    lo.x + rng.unit_f64() * (hi.x - lo.x),
+                    lo.y + rng.unit_f64() * (hi.y - lo.y),
                 );
                 if domain.contains(p) {
                     return p;
@@ -175,8 +174,8 @@ impl<D: Domain> MeshBuilder<D> {
                 }
             };
             // Tiny jitter avoids exactly-cocircular configurations.
-            let jx = (self.rng.gen::<f64>() - 0.5) * 1e-9;
-            let jy = (self.rng.gen::<f64>() - 0.5) * 1e-9;
+            let jx = (self.rng.unit_f64() - 0.5) * 1e-9;
+            let jy = (self.rng.unit_f64() - 0.5) * 1e-9;
             new_ids.push(self.del.insert(Point::new(p.x + jx, p.y + jy)));
         }
         new_ids

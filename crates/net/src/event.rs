@@ -60,8 +60,7 @@ impl std::ops::BitOr for Interest {
 ///
 /// `is_readable()` deliberately folds error/hang-up conditions in (mio does
 /// the same): a peer reset must wake a reader so the subsequent `read()`
-/// observes EOF/ECONNRESET instead of the connection idling forever. The
-/// precise bits stay observable via [`Event::is_error`] / [`Event::is_hup`].
+/// observes EOF/ECONNRESET instead of the connection idling forever.
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
     pub(crate) token: usize,
@@ -82,14 +81,6 @@ impl Event {
 
     pub fn is_writable(&self) -> bool {
         self.writable
-    }
-
-    pub fn is_error(&self) -> bool {
-        self.error
-    }
-
-    pub fn is_hup(&self) -> bool {
-        self.hup
     }
 }
 

@@ -100,12 +100,6 @@ impl HealthCell {
         })
     }
 
-    /// Retune the stall bar.
-    pub fn set_bar(&self, bar: Duration) {
-        self.bar_us
-            .store(bar.as_micros().max(1) as u64, Ordering::Relaxed);
-    }
-
     /// The component started working.
     #[inline]
     pub fn busy(&self) {
@@ -198,12 +192,6 @@ impl FreshnessCell {
     /// `ok` from here on. Irreversible.
     pub fn retire(&self) {
         self.retired.store(true, Ordering::Relaxed);
-    }
-
-    /// Retune the freshness bar.
-    pub fn set_bar(&self, bar: Duration) {
-        self.bar_us
-            .store(bar.as_micros().max(1) as u64, Ordering::Relaxed);
     }
 
     /// The periodic work just succeeded.

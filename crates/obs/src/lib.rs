@@ -1,7 +1,6 @@
 //! igp-obs: the observability substrate for the IGP serving stack.
 //!
-//! Dependency-free (std only), in the same vendored-stub spirit as the
-//! workspace's `rand` stand-in: every crate in the serving path links
+//! Dependency-free (std only): every crate in the serving path links
 //! this, so it must stay tiny and pull nothing in.
 //!
 //! Four pieces:

@@ -101,11 +101,6 @@ impl Ctx {
         self.allreduce(val, 2, |a, b| a + b)
     }
 
-    /// Sum-allreduce of an `f64`.
-    pub fn allreduce_sum_f64(&mut self, val: f64) -> f64 {
-        self.allreduce(val, 2, |a, b| a + b)
-    }
-
     /// Global argmin: every rank contributes `(key, payload)`; all ranks
     /// receive the pair with the smallest key (ties → smallest rank wins
     /// because reduction order is deterministic).
@@ -237,12 +232,6 @@ mod tests {
         let winner = out[0].1;
         assert!(winner >= 2);
         assert!(out.iter().all(|&(k, w)| k == 1.0 && w == winner));
-    }
-
-    #[test]
-    fn allreduce_sum_f64() {
-        let (out, _) = machine(7).run(|ctx| ctx.allreduce_sum_f64(0.5));
-        assert!(out.iter().all(|&v| (v - 3.5).abs() < 1e-12));
     }
 
     #[test]

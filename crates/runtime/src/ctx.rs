@@ -65,12 +65,6 @@ impl Ctx {
         self.size
     }
 
-    /// The cost model in effect.
-    #[inline]
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
     /// Current simulated time on this rank.
     #[inline]
     pub fn now(&self) -> f64 {

@@ -19,11 +19,6 @@ impl Machine {
         Machine { p, cost }
     }
 
-    /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.p
-    }
-
     /// Run `f` on every rank (as OS threads), returning per-rank results
     /// (index = rank) and the aggregated [`SimReport`].
     ///

@@ -306,11 +306,6 @@ impl SharedMachine {
         SharedMachine { p }
     }
 
-    /// Number of workers.
-    pub fn num_ranks(&self) -> usize {
-        self.p
-    }
-
     /// Run `f` on every rank (as OS threads over one shared board),
     /// returning per-rank results (index = rank) and a wall-clock
     /// [`SimReport`]: `per_rank`/`makespan` are measured seconds,

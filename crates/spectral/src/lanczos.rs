@@ -20,9 +20,8 @@
 
 use crate::laplacian::Laplacian;
 use crate::tridiag::eigen_tridiag;
+use igp_graph::rng::SplitMix64;
 use igp_graph::{CsrBuilder, CsrGraph, NodeId, Weight, INVALID_NODE};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Tuning parameters for [`fiedler_vector`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -91,8 +90,8 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 pub fn fiedler_vector(graph: &CsrGraph, opts: FiedlerOptions) -> FiedlerResult {
     let n = graph.num_vertices();
     assert!(n >= 2, "Fiedler vector needs at least 2 vertices");
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut x: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
+    let mut rng = SplitMix64::new(opts.seed);
+    let mut x: Vec<f64> = (0..n).map(|_| rng.unit_f64() - 0.5).collect();
     orthogonalize_against_ones(&mut x);
     normalize(&mut x);
     lanczos_from(
@@ -116,7 +115,7 @@ fn lanczos_from(
     subspace: usize,
     restarts: usize,
     tol: f64,
-    rng: &mut StdRng,
+    rng: &mut SplitMix64,
 ) -> FiedlerResult {
     let n = graph.num_vertices();
     let lap = Laplacian::new(graph);
@@ -139,7 +138,7 @@ fn lanczos_from(
         orthogonalize_against_ones(&mut v);
         if normalize(&mut v) == 0.0 {
             // Degenerate start (can happen on pathological graphs): reseed.
-            v = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
+            v = (0..n).map(|_| rng.unit_f64() - 0.5).collect();
             orthogonalize_against_ones(&mut v);
             normalize(&mut v);
         }
@@ -256,7 +255,7 @@ pub fn fiedler_multilevel(graph: &CsrGraph, opts: FiedlerOptions) -> FiedlerResu
     }
     let mut result = fiedler_vector(graphs.last().unwrap_or(graph), opts);
     let mut matvecs = result.matvecs;
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = SplitMix64::new(opts.seed);
     for (i, coarse_of) in levels.iter().enumerate().rev() {
         let fine = if i == 0 { graph } else { &graphs[i - 1] };
         let mut x: Vec<f64> = coarse_of

@@ -40,15 +40,6 @@ impl<'g> Laplacian<'g> {
             y[v as usize] = acc;
         }
     }
-
-    /// Rayleigh quotient `xᵀLx / xᵀx` (0 for the constant vector).
-    pub fn rayleigh(&self, x: &[f64]) -> f64 {
-        let mut y = vec![0.0; self.n()];
-        self.matvec(x, &mut y);
-        let num: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let den: f64 = x.iter().map(|a| a * a).sum();
-        num / den
-    }
 }
 
 #[cfg(test)]
@@ -85,13 +76,5 @@ mod tests {
         let mut y = vec![0.0; 3];
         l.matvec(&[0.0, 1.0, 0.0], &mut y);
         assert_eq!(y, vec![-2.0, 7.0, -5.0]);
-    }
-
-    #[test]
-    fn rayleigh_positive_semidefinite() {
-        let g = generators::cycle(8);
-        let l = Laplacian::new(&g);
-        let x: Vec<f64> = (0..8).map(|i| (i as f64).sin()).collect();
-        assert!(l.rayleigh(&x) >= -1e-12);
     }
 }

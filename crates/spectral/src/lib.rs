@@ -11,7 +11,8 @@
 //!   eigenvector of the second-smallest Laplacian eigenvalue): exactly
 //!   ([`fiedler_vector`]), or multilevel ([`fiedler_multilevel`]:
 //!   heavy-edge coarsening, an exact solve on the coarsest graph, a
-//!   short Lanczos polish per finer level).
+//!   short Lanczos polish per finer level). Start vectors are seeded
+//!   draws from [`igp_graph::rng::SplitMix64`].
 //! * [`tridiag`] — implicit-shift QL eigensolver for the symmetric
 //!   tridiagonal Rayleigh–Ritz systems Lanczos produces.
 //! * [`rsb`] — the recursive driver: sort by Fiedler value, split at the
@@ -20,9 +21,6 @@
 //!   [`RsbOptions::default()`] (what sessions serve on) runs the
 //!   multilevel solver; [`RsbOptions::paper()`] (the SB baseline of
 //!   every paper table) runs the exact one.
-//! * [`rcb`] — recursive coordinate bisection, a cheaper geometric
-//!   baseline used in ablations (the paper's introduction lists it among
-//!   the standard heuristics).
 //!
 //! ```
 //! use igp_graph::{generators, metrics::CutMetrics};
@@ -38,10 +36,8 @@
 
 pub mod lanczos;
 pub mod laplacian;
-pub mod rcb;
 pub mod rsb;
 pub mod tridiag;
 
 pub use lanczos::{fiedler_multilevel, fiedler_vector, FiedlerOptions};
-pub use rcb::recursive_coordinate_bisection;
 pub use rsb::{recursive_spectral_bisection, FiedlerSolver, RsbOptions};

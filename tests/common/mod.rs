@@ -6,6 +6,8 @@
 // Each test binary includes this module and uses its own subset.
 #![allow(dead_code)]
 
+pub mod rcb;
+
 use igp::graph::{CsrGraph, NodeId, PartId, Partitioning};
 use igp::mesh::Point;
 use proptest::ProptestConfig;

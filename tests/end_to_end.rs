@@ -2,6 +2,9 @@
 //! meshes — mesh generation → RSB → localized refinement → incremental
 //! repartitioning → quality/balance checks, sequential and parallel.
 
+mod common;
+
+use common::rcb::recursive_coordinate_bisection;
 use igp::graph::metrics::CutMetrics;
 use igp::graph::{IncrementalGraph, Partitioning};
 use igp::mesh::sequence::tiny_sequence;
@@ -141,25 +144,6 @@ fn incremental_graph_diff_matches_mesh_edit() {
 }
 
 #[test]
-fn multilevel_agrees_with_flat_on_mesh() {
-    use igp::multilevel::{multilevel_repartition, MultilevelConfig};
-    let seq = tiny_sequence(7);
-    let p = 4;
-    let old = rsb(&seq.base, p);
-    let inc = &seq.steps[0].inc;
-    let cfg = IgpConfig::new(p);
-    let ml = MultilevelConfig {
-        coarsen_to: 40,
-        max_levels: 3,
-    };
-    let (part, rep) = multilevel_repartition(inc, &old, &cfg, &ml);
-    assert!(rep.level_sizes.len() >= 2);
-    let counts = part.counts();
-    let spread = counts.iter().max().unwrap() - counts.iter().min().unwrap();
-    assert!(spread <= 1, "{counts:?}");
-}
-
-#[test]
 fn rsb_vs_rcb_on_mesh() {
     // RCB (geometric) and RSB (spectral) both balance; RSB usually cuts
     // fewer edges on irregular meshes.
@@ -167,7 +151,7 @@ fn rsb_vs_rcb_on_mesh() {
     let coords: Vec<(f64, f64)> = seq.base_mesh.points.iter().map(|p| (p.x, p.y)).collect();
     let p = 4;
     let spectral = rsb(&seq.base, p);
-    let geometric = igp::spectral::recursive_coordinate_bisection(&seq.base, &coords, p);
+    let geometric = recursive_coordinate_bisection(&seq.base, &coords, p);
     let cut_s = CutMetrics::compute(&seq.base, &spectral).total_cut_edges;
     let cut_g = CutMetrics::compute(&seq.base, &geometric).total_cut_edges;
     assert!(cut_s > 0 && cut_g > 0);

@@ -31,6 +31,7 @@
 
 mod common;
 
+use common::rcb::recursive_coordinate_bisection;
 use common::Lcg;
 use igp::graph::traversal::is_connected;
 use igp::graph::{CsrGraph, GraphDelta, PartId, Partitioning};
@@ -38,7 +39,7 @@ use igp::mesh::domain::{paper_domain_a, Domain};
 use igp::mesh::sequence::{mixed_inc, paper_sequence_b};
 use igp::mesh::{Disc, MeshBuilder, Point};
 use igp::session::IgpSession;
-use igp::spectral::{recursive_coordinate_bisection, recursive_spectral_bisection, RsbOptions};
+use igp::spectral::{recursive_spectral_bisection, RsbOptions};
 use igp::{BalanceSolver, IgpConfig, IgpReport, IncrementalPartitioner};
 use std::collections::VecDeque;
 
