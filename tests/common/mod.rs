@@ -7,6 +7,7 @@
 #![allow(dead_code)]
 
 pub mod rcb;
+pub mod window;
 
 use igp::graph::{CsrGraph, NodeId, PartId, Partitioning};
 use igp::mesh::Point;
