@@ -394,13 +394,24 @@ pub fn read_graph_bin(bytes: &[u8]) -> Result<CsrGraph, ParseError> {
             "graph header n={n} m={m} larger than payload"
         )));
     }
+    // The weight bound `read_metis` and `GraphDelta::validate` enforce:
+    // heavier weights overflow a step's sums.
+    let weight = |r: &mut BinReader, what: &str| {
+        let w = r.u64()?;
+        if w > MAX_WEIGHT {
+            return Err(ParseError::Corrupt(format!(
+                "{what} weight {w} exceeds {MAX_WEIGHT}"
+            )));
+        }
+        Ok(w)
+    };
     let mut b = CsrBuilder::with_edge_capacity(n, m);
     for v in 0..n {
-        b.set_vertex_weight(v as NodeId, r.u64()?);
+        b.set_vertex_weight(v as NodeId, weight(&mut r, "vertex")?);
     }
     for _ in 0..m {
         let (u, v) = (r.u32()?, r.u32()?);
-        let w = r.u64()?;
+        let w = weight(&mut r, "edge")?;
         if (u as usize) >= n || (v as usize) >= n || u == v {
             return Err(ParseError::Corrupt(format!("bad edge {{{u},{v}}} (n={n})")));
         }
@@ -642,6 +653,23 @@ mod tests {
                 Err(ParseError::BadLine { line: 2, reason }) => {
                     assert!(reason.contains("exceeds"), "{reason}")
                 }
+                other => panic!("weights ({vw}, {ew}): {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn graph_bin_refuses_weights_above_max() {
+        let heavy = |vw: Weight, ew: Weight| {
+            let mut g = CsrGraph::from_weighted_edges(3, &[(0, 1, 1), (1, 2, ew)]);
+            g.set_vertex_weights(vec![1, 1, vw]);
+            write_graph_bin(&g)
+        };
+        let g = read_graph_bin(&heavy(MAX_WEIGHT, MAX_WEIGHT)).unwrap();
+        assert_eq!(g.total_vertex_weight(), 2 + MAX_WEIGHT);
+        for (vw, ew) in [(MAX_WEIGHT + 1, 1), (1, MAX_WEIGHT + 1), (1, u64::MAX)] {
+            match read_graph_bin(&heavy(vw, ew)) {
+                Err(ParseError::Corrupt(reason)) => assert!(reason.contains("exceeds"), "{reason}"),
                 other => panic!("weights ({vw}, {ew}): {other:?}"),
             }
         }

@@ -35,7 +35,8 @@ use crate::session::ServiceSession;
 use crate::ServiceError;
 use igp_core::session::SessionSeed;
 use igp_store::{SessionStore, SnapshotPolicy};
-use std::path::Path;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
 /// One session brought back from disk.
 pub struct RecoveredSession {
@@ -89,24 +90,63 @@ pub fn recover_session(
 
 /// Recover every session directory under `data_dir`. Directories that
 /// fail to recover are skipped and reported (second element) — one
-/// corrupt tenant must not take the daemon down with it.
+/// corrupt tenant must not take the daemon down with it, and neither
+/// must one whose replay panics: the panic is reported as that
+/// directory's failure and its siblings recover.
 pub fn recover_all(
     data_dir: &Path,
     snapshot_policy: SnapshotPolicy,
 ) -> std::io::Result<(Vec<RecoveredSession>, Vec<String>)> {
-    let mut recovered = Vec::new();
-    let mut failures = Vec::new();
     let mut dirs: Vec<_> = std::fs::read_dir(data_dir)?
         .filter_map(|e| e.ok())
         .filter(|e| e.path().is_dir())
         .map(|e| e.path())
         .collect();
     dirs.sort();
+    Ok(recover_each(&dirs, |dir| {
+        recover_session(dir, snapshot_policy)
+    }))
+}
+
+/// Run `recover` on each directory in order, each under `catch_unwind`:
+/// the successes, and one `"<dir>: <error>"` line per failure.
+fn recover_each<T>(
+    dirs: &[PathBuf],
+    mut recover: impl FnMut(&Path) -> Result<T, ServiceError>,
+) -> (Vec<T>, Vec<String>) {
+    let mut recovered = Vec::new();
+    let mut failures = Vec::new();
     for dir in dirs {
-        match recover_session(&dir, snapshot_policy) {
-            Ok(r) => recovered.push(r),
-            Err(e) => failures.push(format!("{}: {e}", dir.display())),
+        match catch_unwind(AssertUnwindSafe(|| recover(dir))) {
+            Ok(Ok(r)) => recovered.push(r),
+            Ok(Err(e)) => failures.push(format!("{}: {e}", dir.display())),
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                failures.push(format!("{}: replay panicked: {msg}", dir.display()));
+            }
         }
     }
-    Ok((recovered, failures))
+    (recovered, failures)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_recovery_is_reported_and_its_siblings_recover() {
+        let dirs: Vec<PathBuf> = ["a", "b", "c"].iter().map(PathBuf::from).collect();
+        let (ok, failures) = recover_each(&dirs, |dir| {
+            if dir == Path::new("b") {
+                panic!("step {} out of range", 7);
+            }
+            Ok(dir.display().to_string())
+        });
+        assert_eq!(ok, ["a", "c"]);
+        assert_eq!(failures, ["b: replay panicked: step 7 out of range"]);
+    }
 }

@@ -8,7 +8,7 @@
 
 mod common;
 
-use igp::graph::{generators, CsrGraph, GraphDelta};
+use igp::graph::{generators, CsrGraph, GraphDelta, Partitioning};
 use igp::service::durable::{recover_all, recover_session};
 use igp::service::session::{InitPartition, ServiceSession, SessionConfig};
 use igp::service::{RepartitionPolicy, ServiceError, SnapshotPolicy};
@@ -599,5 +599,50 @@ fn legacy_config_line_recovers_bit_identical() {
     feed(&mut again, &deltas[4..], 0);
     feed(&mut truth, &deltas[4..], 0);
     assert_bit_identical(&again, &truth, "legacy after re-recovery");
+    std::fs::remove_dir_all(&data).ok();
+}
+
+/// A snapshot whose graph carries a weight above `MAX_WEIGHT` (written
+/// before the bound existed, or crafted) would overflow a step's sums.
+/// Its decoder refuses it, `recover_all` reports that session, and its
+/// sibling recovers.
+#[test]
+fn snapshot_weight_above_max_is_refused_and_its_sibling_recovers() {
+    const LINE: &str = "parts=4 policy=every:1 refined=1 init=rr";
+    let data = scratch_dir("heavy", 3);
+    let good = generators::grid(8, 8);
+    let heavy = CsrGraph::from_weighted_edges(
+        4,
+        &[(0, 1, 1), (1, 2, igp::graph::MAX_WEIGHT + 1), (2, 3, 1)],
+    );
+    for (sid, g) in [("good", &good), ("heavy", &heavy)] {
+        let n = g.num_vertices();
+        let part = Partitioning::from_assignment(g, 4, (0..n as u32).map(|v| v % 4).collect());
+        let base_of_current: Vec<u32> = (0..n as u32).collect();
+        SessionStore::create(
+            &data.join(sid),
+            StoreMeta {
+                sid: sid.into(),
+                config_line: LINE.into(),
+            },
+            SnapshotPolicy::EveryK(3),
+            SessionState {
+                graph: g,
+                part: &part,
+                base_of_current: &base_of_current,
+                steps: 0,
+                total_moved: 0,
+                deltas_received: 0,
+                needs_scratch: false,
+            },
+        )
+        .expect("create store");
+    }
+    let (recovered, failures) = recover_all(&data, SnapshotPolicy::EveryK(3)).expect("recover all");
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(failures[0].contains("heavy"), "{failures:?}");
+    assert_eq!(recovered.len(), 1);
+    assert_eq!(recovered[0].sid, "good");
+    assert_eq!(recovered[0].session.inner().graph(), &good);
     std::fs::remove_dir_all(&data).ok();
 }
