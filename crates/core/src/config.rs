@@ -38,11 +38,9 @@ pub struct RefineConfig {
     /// Maximum refinement LP rounds ("applied iteratively until the
     /// effective gain ... is small").
     pub max_iters: usize,
-    /// Stop when a round improves the cut by less than this many edges.
+    /// Stop when a round improves the cut by less than this much: the
+    /// summed gain of its moves, in edge weight (edges on unit weights).
     pub min_gain: u64,
-    /// After this many rounds switch `out(v,j) − in(v) ≥ 0` to `> 0`
-    /// (the paper's strict-inequality rule against zero-gain churn).
-    pub strict_after: usize,
 }
 
 impl Default for RefineConfig {
@@ -50,7 +48,6 @@ impl Default for RefineConfig {
         RefineConfig {
             max_iters: 8,
             min_gain: 1,
-            strict_after: 3,
         }
     }
 }

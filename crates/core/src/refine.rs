@@ -1,19 +1,29 @@
 //! Phase 4 — cut refinement via linear programming (paper §2.4).
 //!
 //! Find boundary vertices whose edges into a neighbouring partition are at
-//! least as numerous as their local edges (`out(v,j) − in(v) ≥ 0`), and
-//! move as many as possible **without disturbing the balance**: maximize
-//! `Σ l_ij` subject to `0 ≤ l_ij ≤ b_ij` (eq. 15) and zero net flow per
-//! partition (eq. 16). Iterate until the gain is small; after a few rounds
-//! the inequality becomes strict (`> 0`) so zero-gain vertices stop
-//! circulating (the paper's oscillation guard).
+//! least as numerous as their local edges (gain `out(v,j) − in(v) ≥ 0`),
+//! and move some of them **without disturbing the balance**: a
+//! circulation over the partition pairs with `0 ≤ l ≤ b` (eq. 15) and
+//! zero net flow per partition (eq. 16). Iterate until the gain is small.
 //!
-//! Deviations from the paper, both documented in DESIGN.md:
+//! Deviations from the paper, both documented in DESIGN.md §5:
 //! * each vertex is counted toward its *best* pair only, so the LP's
 //!   chosen moves can always be applied exactly (the paper's per-pair
 //!   counts may overlap on one vertex);
-//! * a whole iteration whose *measured* cut increases (possible because
-//!   batch moves interact) is rolled back, making the phase monotone.
+//! * **independent admission, gain objective.** A round admits
+//!   candidates greedily by (gain desc, vertex id asc), skipping any
+//!   vertex adjacent to one already admitted, and the LP has one variable
+//!   per (pair, gain class), capped at the class size and weighted
+//!   `W·gain` for a positive gain and `−1` for a zero gain, with
+//!   `W = 1 + #zero-gain candidates`. No two moved vertices are adjacent,
+//!   so a round changes the cut by exactly `−Σ gain` of what it moves;
+//!   the weights make the LP maximise that sum first and spend as few
+//!   zero-gain moves as it can second. A round therefore never raises
+//!   the cut, and a round with no positive gain moves nothing. The
+//!   paper's unit objective (eq. 14) stays as [`solve_circulation`].
+//!
+//! Gains and the stopping rule count edge weights; on unit weights they
+//! are the cut-edge counts the reports carry.
 
 use crate::balance::{arcs_of, solve_paper_lp, LpAccounting};
 use crate::config::{BalanceSolver, IgpConfig};
@@ -21,16 +31,17 @@ use igp_graph::{CsrGraph, NodeId, PartId, Partitioning};
 use igp_lp::flow;
 use igp_runtime::{Executor, Solo};
 
-/// One refinement iteration.
+/// One refinement round.
 #[derive(Clone, Debug)]
 pub struct RefineIterReport {
-    /// Vertices moved (0 if the LP found no augmenting circulation).
+    /// Vertices moved (0 if the LP found no improving circulation).
     pub moved: u64,
-    /// Cut edges before this iteration.
+    /// Cut edges before this round.
     pub cut_before: u64,
-    /// Cut edges after (equals `cut_before` if rolled back).
+    /// Cut edges after.
     pub cut_after: u64,
-    /// Whether the iteration was rolled back.
+    /// Always false: a round cannot raise the cut, so nothing is rolled
+    /// back. Kept so report readers that count rollbacks read 0.
     pub rolled_back: bool,
     /// LP accounting.
     pub lp: LpAccounting,
@@ -39,44 +50,45 @@ pub struct RefineIterReport {
 /// Outcome of the refinement phase.
 #[derive(Clone, Debug, Default)]
 pub struct RefineOutcome {
-    /// Per-iteration detail.
+    /// Per-round detail.
     pub iters: Vec<RefineIterReport>,
-    /// Total vertices moved (net of rollbacks).
+    /// Total vertices moved.
     pub total_moved: u64,
     /// Total work units.
     pub work: u64,
 }
 
-/// A movable boundary vertex.
-struct Candidate {
-    v: NodeId,
-    gain: i64,
-}
-
-/// Solve the circulation LP: maximize total movement under caps with zero
-/// net flow at every partition.
+/// Solve the paper's circulation LP (eq. 14–16): maximize total movement
+/// under caps with zero net flow at every partition.
 ///
-/// The sequential entry point: [`solve_circulation_on`] at size 1.
+/// The sequential, unit-weight entry point of [`solve_circulation_on`].
 pub fn solve_circulation(
     num_parts: usize,
     pairs: &[(PartId, PartId)],
     caps: &[u64],
     cfg: &IgpConfig,
 ) -> (Vec<i64>, LpAccounting) {
-    solve_circulation_on(&mut Solo, num_parts, pairs, caps, cfg)
+    let unit = vec![1; pairs.len()];
+    solve_circulation_on(&mut Solo, num_parts, pairs, caps, &unit, cfg)
 }
 
-/// [`solve_circulation`] as a collective over the ranks of `ctx` (see
+/// Maximize `Σ weights[k] · l[k]` over circulations with
+/// `0 ≤ l[k] ≤ caps[k]` on the arcs `pairs` (parallel arcs allowed), as
+/// a collective over the ranks of `ctx` (see
 /// [`crate::balance::solve_movement_on`]).
 pub fn solve_circulation_on<E: Executor>(
     ctx: &mut E,
     num_parts: usize,
     pairs: &[(PartId, PartId)],
     caps: &[u64],
+    weights: &[i64],
     cfg: &IgpConfig,
 ) -> (Vec<i64>, LpAccounting) {
     if cfg.solver != BalanceSolver::NetworkFlow {
-        let model = igp_lp::circulation_lp(num_parts, &arcs_of(pairs), caps);
+        let mut model = igp_lp::circulation_lp(num_parts, &arcs_of(pairs), caps);
+        for (k, &w) in weights.iter().enumerate() {
+            model.set_objective(k, w as f64);
+        }
         return solve_paper_lp(ctx, &model, cfg.solver)
             .expect("circulation LP is always feasible (l = 0)");
     }
@@ -85,7 +97,7 @@ pub fn solve_circulation_on<E: Executor>(
         .zip(caps)
         .map(|(&(i, j), &c)| (i as usize, j as usize, c as i64))
         .collect();
-    let (_, l) = flow::max_circulation(num_parts, &arcs);
+    let (_, l) = flow::max_weight_circulation(num_parts, &arcs, weights);
     let acc = LpAccounting {
         vars: pairs.len(),
         constraints: num_parts + pairs.len(),
@@ -97,14 +109,13 @@ pub fn solve_circulation_on<E: Executor>(
 
 /// One rank's share of the candidate scan, as `(v, j, gain)` in ascending
 /// `v`: the boundary vertices of the partitions `owns` selects whose best
-/// foreign partition `j` clears the gain threshold (`gain > 0` when
-/// `strict`, else `≥ 0`). Each vertex counts toward its best pair only.
-/// Interior vertices have no foreign partition to move to, so they are
-/// skipped on the maintained boundary flag. Also returns the edges visited.
+/// foreign partition `j` has `gain ≥ 0`. Each vertex counts toward its
+/// best pair only. Interior vertices have no foreign partition to move
+/// to, so they are skipped on the maintained boundary flag. Also returns
+/// the edges visited.
 fn scan_candidates(
     g: &CsrGraph,
     part: &Partitioning,
-    strict: bool,
     owns: &impl Fn(PartId) -> bool,
 ) -> (Vec<(NodeId, PartId, i64)>, u64) {
     let mut found = Vec::new();
@@ -146,7 +157,7 @@ fn scan_candidates(
             }
         }
         if let Some((gain, j)) = best {
-            if if strict { gain > 0 } else { gain >= 0 } {
+            if gain >= 0 {
                 found.push((v, j, gain));
             }
         }
@@ -154,32 +165,134 @@ fn scan_candidates(
     (found, work)
 }
 
-/// Group candidates given in ascending vertex id into per-pair lists. The
-/// ascending order fixes both the pair order (first appearance) and the
-/// tie order within a pair; each list is then sorted highest-gain-first,
-/// the order moves are applied in.
-fn group_candidates(
-    part: &Partitioning,
-    cands: &[(NodeId, PartId, i64)],
-) -> (Vec<(PartId, PartId)>, Vec<Vec<Candidate>>) {
-    let p = part.num_parts();
-    let mut table: Vec<Vec<Candidate>> = Vec::new();
-    let mut index: Vec<i32> = vec![-1; p * p];
-    let mut pairs: Vec<(PartId, PartId)> = Vec::new();
-    for &(v, j, gain) in cands {
-        let i = part.part_of(v);
-        let slot = &mut index[i as usize * p + j as usize];
-        if *slot < 0 {
-            *slot = pairs.len() as i32;
-            pairs.push((i, j));
-            table.push(Vec::new());
+/// Independent admission: take `cands` greedily by (gain desc, vertex id
+/// asc), skipping any vertex adjacent to one already taken. Also returns
+/// the edges visited.
+fn admit_independent(
+    g: &CsrGraph,
+    mut cands: Vec<(NodeId, PartId, i64)>,
+) -> (Vec<(NodeId, PartId, i64)>, u64) {
+    cands.sort_unstable_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
+    // Bit v: v is adjacent to an admitted vertex.
+    let mut blocked = vec![0u64; g.num_vertices().div_ceil(64)];
+    let mut work = 0u64;
+    cands.retain(|&(v, _, _)| {
+        if blocked[v as usize / 64] >> (v % 64) & 1 == 1 {
+            return false;
         }
-        table[*slot as usize].push(Candidate { v, gain });
+        for &u in g.neighbors(v) {
+            blocked[u as usize / 64] |= 1 << (u % 64);
+        }
+        work += g.degree(v) as u64;
+        true
+    });
+    (cands, work)
+}
+
+/// A set of admitted candidates that share a pair and a gain: one LP
+/// variable.
+struct GainClass {
+    pair: (PartId, PartId),
+    gain: i64,
+    /// Ascending; the LP's flow `l` moves the first `l`.
+    members: Vec<NodeId>,
+}
+
+/// Group admitted candidates into gain classes, ordered by (pair, gain
+/// desc).
+fn gain_classes(part: &Partitioning, admitted: &[(NodeId, PartId, i64)]) -> Vec<GainClass> {
+    let mut keyed: Vec<(PartId, PartId, i64, NodeId)> = admitted
+        .iter()
+        .map(|&(v, j, gain)| (part.part_of(v), j, -gain, v))
+        .collect();
+    keyed.sort_unstable();
+    let mut classes: Vec<GainClass> = Vec::new();
+    for (i, j, neg_gain, v) in keyed {
+        match classes.last_mut() {
+            Some(c) if c.pair == (i, j) && c.gain == -neg_gain => c.members.push(v),
+            _ => classes.push(GainClass {
+                pair: (i, j),
+                gain: -neg_gain,
+                members: vec![v],
+            }),
+        }
     }
-    for list in &mut table {
-        list.sort_by(|a, b| b.gain.cmp(&a.gain).then(a.v.cmp(&b.v)));
+    classes
+}
+
+/// The classes that can carry flow in an optimal circulation: those whose
+/// pair lies inside a strongly connected component of the class graph
+/// that holds a positive-gain class. Flow on any other class lies on no
+/// cycle, or only on cycles of zero-gain classes, which cost more than
+/// they gain; so the LP over what is kept has the same optimum, and
+/// nothing is kept if no circulation can lower the cut.
+fn on_improving_cycles(p: usize, classes: Vec<GainClass>) -> Vec<GainClass> {
+    let pairs: Vec<(PartId, PartId)> = classes.iter().map(|c| c.pair).collect();
+    let comp = strong_components(p, &pairs);
+    let mut improving = vec![false; p];
+    for c in &classes {
+        let (i, j) = c.pair;
+        if c.gain > 0 && comp[i as usize] == comp[j as usize] {
+            improving[comp[i as usize]] = true;
+        }
     }
-    (pairs, table)
+    classes
+        .into_iter()
+        .filter(|c| {
+            let (i, j) = (c.pair.0 as usize, c.pair.1 as usize);
+            comp[i] == comp[j] && improving[comp[i]]
+        })
+        .collect()
+}
+
+/// Strongly connected component of each of the `p` nodes of the directed
+/// graph `arcs` (Kosaraju, iterative).
+fn strong_components(p: usize, arcs: &[(PartId, PartId)]) -> Vec<usize> {
+    let (mut fwd, mut rev) = (vec![Vec::new(); p], vec![Vec::new(); p]);
+    for &(i, j) in arcs {
+        fwd[i as usize].push(j as usize);
+        rev[j as usize].push(i as usize);
+    }
+    // Finishing order of a depth-first search over `fwd`.
+    let mut seen = vec![false; p];
+    let mut order = Vec::with_capacity(p);
+    for s in 0..p {
+        if seen[s] {
+            continue;
+        }
+        seen[s] = true;
+        let mut stack = vec![(s, 0)];
+        while let Some((v, k)) = stack.last_mut() {
+            if let Some(&u) = fwd[*v].get(*k) {
+                *k += 1;
+                if !seen[u] {
+                    seen[u] = true;
+                    stack.push((u, 0));
+                }
+            } else {
+                order.push(*v);
+                stack.pop();
+            }
+        }
+    }
+    // Components by search over `rev` in reverse finishing order.
+    let mut comp = vec![usize::MAX; p];
+    for (c, &s) in order.iter().rev().enumerate() {
+        if comp[s] != usize::MAX {
+            continue;
+        }
+        comp[s] = c;
+        let mut stack = vec![s];
+        while let Some(v) = stack.pop() {
+            for &u in &rev[v] {
+                if comp[u] == usize::MAX {
+                    comp[u] = c;
+                    stack.push(u);
+                }
+            }
+        }
+    }
+    comp
 }
 
 /// Run the refinement phase — the paper's iterative LP circulation
@@ -191,10 +304,11 @@ pub fn refine(g: &CsrGraph, part: &mut Partitioning, cfg: &IgpConfig) -> RefineO
 
 /// [`refine`] as a collective over the ranks of `ctx`, on a `part` every
 /// rank holds in full. Each rank scans the partitions `owns` selects; the
-/// candidates are allgathered and merged in ascending vertex id, so every
-/// rank, at every rank count, solves the same LPs and applies the same
-/// moves as [`refine`]. `work` counts this rank's share of the scan plus
-/// the LP and move work every rank repeats.
+/// candidates are allgathered and merged in ascending vertex id, and
+/// admission runs on that replicated list, so every rank, at every rank
+/// count, solves the same LPs and applies the same moves as [`refine`].
+/// `work` counts this rank's share of the scan plus the admission, LP
+/// and move work every rank repeats.
 pub(crate) fn refine_on<E: Executor>(
     ctx: &mut E,
     g: &CsrGraph,
@@ -203,95 +317,61 @@ pub(crate) fn refine_on<E: Executor>(
     owns: impl Fn(PartId) -> bool,
 ) -> RefineOutcome {
     let mut out = RefineOutcome::default();
-    let mut cut_before = part.cut_edges();
-    for it in 0..cfg.refine.max_iters {
-        let strict = it >= cfg.refine.strict_after;
-        let (mine, scan_work) = scan_candidates(g, part, strict, &owns);
+    for _ in 0..cfg.refine.max_iters {
+        let (mine, scan_work) = scan_candidates(g, part, &owns);
         ctx.charge(scan_work);
         out.work += scan_work;
         // Vertex ids are unique across ranks, so the merge is deterministic.
         let mut merged = ctx.allgather(mine, 3).concat();
         merged.sort_unstable_by_key(|&(v, _, _)| v);
-        let (pairs, table) = group_candidates(part, &merged);
-        if pairs.is_empty() {
+        let (admitted, admit_work) = admit_independent(g, merged);
+        ctx.charge(admit_work);
+        out.work += admit_work;
+        let classes = on_improving_cycles(cfg.num_parts, gain_classes(part, &admitted));
+        if classes.is_empty() {
             break;
         }
-        let mut caps: Vec<u64> = table.iter().map(|t| t.len() as u64).collect();
-        // Damped application: if the whole batch increases the measured
-        // cut (moves interact), roll back, halve the circulation caps and
-        // re-solve — small batches are monotone in the limit.
-        let mut success = false;
-        let mut rolled_back_final = false;
-        for _attempt in 0..5 {
-            let (l, acc) = solve_circulation_on(ctx, cfg.num_parts, &pairs, &caps, cfg);
-            out.work += acc.work;
-            let planned: u64 = l.iter().map(|&x| x.max(0) as u64).sum();
-            if planned == 0 {
-                out.iters.push(RefineIterReport {
-                    moved: 0,
-                    cut_before,
-                    cut_after: cut_before,
-                    rolled_back: rolled_back_final,
-                    lp: acc,
-                });
-                break;
-            }
-            // Apply (recording undo information). The maintained cut is
-            // exact, so the rollback test below sees what a recount would.
-            let mut undo: Vec<(NodeId, PartId)> = Vec::new();
-            let mut move_work = 0u64;
-            for (k, &(i, j)) in pairs.iter().enumerate() {
-                let want = l[k].max(0) as usize;
-                for c in table[k].iter().take(want) {
-                    undo.push((c.v, i));
-                    part.move_vertex(g, c.v, j);
-                    move_work += g.degree(c.v) as u64;
+        let zero_gain: usize = classes
+            .iter()
+            .filter(|c| c.gain == 0)
+            .map(|c| c.members.len())
+            .sum();
+        let w = 1 + zero_gain as i64;
+        let pairs: Vec<(PartId, PartId)> = classes.iter().map(|c| c.pair).collect();
+        let caps: Vec<u64> = classes.iter().map(|c| c.members.len() as u64).collect();
+        let weights: Vec<i64> = classes
+            .iter()
+            .map(|c| {
+                if c.gain > 0 {
+                    w.saturating_mul(c.gain)
+                } else {
+                    -1
                 }
+            })
+            .collect();
+        let (l, acc) = solve_circulation_on(ctx, cfg.num_parts, &pairs, &caps, &weights, cfg);
+        out.work += acc.work;
+        let cut_before = part.cut_edges();
+        let (mut moved, mut gain, mut move_work) = (0u64, 0i64, 0u64);
+        for (c, &flow) in classes.iter().zip(&l) {
+            for &v in c.members.iter().take(flow.max(0) as usize) {
+                part.move_vertex(g, v, c.pair.1);
+                move_work += g.degree(v) as u64;
+                moved += 1;
+                gain = gain.saturating_add(c.gain);
             }
-            let cut_after = part.cut_edges();
-            let rolled_back = cut_after > cut_before;
-            if rolled_back {
-                for &(v, back) in undo.iter().rev() {
-                    part.move_vertex(g, v, back);
-                    move_work += g.degree(v) as u64;
-                }
-            }
-            ctx.charge(move_work);
-            out.work += move_work;
-            if rolled_back {
-                rolled_back_final = true;
-                for (c, &lv) in caps.iter_mut().zip(&l) {
-                    *c = (lv.max(0) as u64) / 2;
-                }
-                if caps.iter().all(|&c| c == 0) {
-                    out.iters.push(RefineIterReport {
-                        moved: 0,
-                        cut_before,
-                        cut_after: cut_before,
-                        rolled_back: true,
-                        lp: acc,
-                    });
-                    break;
-                }
-                continue;
-            }
-            out.total_moved += undo.len() as u64;
-            out.iters.push(RefineIterReport {
-                moved: undo.len() as u64,
-                cut_before,
-                cut_after,
-                rolled_back: false,
-                lp: acc,
-            });
-            cut_before = cut_after;
-            success = true;
-            break;
         }
-        if !success {
-            break;
-        }
-        let last = out.iters.last().unwrap();
-        if last.cut_before - last.cut_after < cfg.refine.min_gain {
+        ctx.charge(move_work);
+        out.work += move_work;
+        out.total_moved += moved;
+        out.iters.push(RefineIterReport {
+            moved,
+            cut_before,
+            cut_after: part.cut_edges(),
+            rolled_back: false,
+            lp: acc,
+        });
+        if moved == 0 || gain < cfg.refine.min_gain as i64 {
             break;
         }
     }
@@ -310,15 +390,6 @@ mod tests {
 
     fn cfg(p: usize) -> IgpConfig {
         IgpConfig::new(p)
-    }
-
-    /// The whole-graph candidate table, as one rank sees it.
-    fn collect(
-        g: &CsrGraph,
-        part: &Partitioning,
-        strict: bool,
-    ) -> (Vec<(PartId, PartId)>, Vec<Vec<Candidate>>) {
-        group_candidates(part, &scan_candidates(g, part, strict, &|_| true).0)
     }
 
     /// `refine_on` as an SPMD job: every rank's assignment, `total_moved`
@@ -474,29 +545,66 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_excludes_zero_gain() {
-        let g = generators::cycle(8);
-        let part = Partitioning::from_assignment(&g, 2, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        // Boundary vertices on a cycle have gain 0 (1 out, 1 in).
-        let (pairs_loose, _) = collect(&g, &part, false);
-        let (pairs_strict, _) = collect(&g, &part, true);
-        assert!(!pairs_loose.is_empty());
-        assert!(pairs_strict.is_empty());
-    }
-
-    #[test]
     fn candidates_assigned_to_best_pair() {
         // Vertex 0 (part 0): 1 edge to part 1, 2 edges to part 2, 0 local.
         let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
         let part = Partitioning::from_assignment(&g, 3, vec![0, 1, 2, 2]);
-        let (pairs, table) = collect(&g, &part, false);
+        let (cands, _) = scan_candidates(&g, &part, &|_| true);
         // Vertex 0's best pair is (0, 2) with gain 2.
-        let k = pairs.iter().position(|&p| p == (0, 2)).unwrap();
-        assert!(table[k].iter().any(|c| c.v == 0 && c.gain == 2));
+        assert!(cands.contains(&(0, 2, 2)));
         // It must NOT also appear under (0, 1).
-        if let Some(k1) = pairs.iter().position(|&p| p == (0, 1)) {
-            assert!(!table[k1].iter().any(|c| c.v == 0));
+        assert!(!cands.iter().any(|&(v, j, _)| v == 0 && j == 1));
+    }
+
+    #[test]
+    fn admission_is_greedy_by_gain_and_independent() {
+        let g = generators::grid(8, 8);
+        let part = Partitioning::from_assignment(
+            &g,
+            3,
+            (0..64).map(|v| ((v * 7 + v / 8) % 3) as PartId).collect(),
+        );
+        let (cands, _) = scan_candidates(&g, &part, &|_| true);
+        let (admitted, _) = admit_independent(&g, cands.clone());
+        assert!(admitted.len() >= 2 && admitted.len() < cands.len());
+        let is_in = |v: NodeId| admitted.iter().any(|&(a, _, _)| a == v);
+        for (k, &(v, _, gain)) in admitted.iter().enumerate() {
+            assert!(g.neighbors(v).iter().all(|&u| !is_in(u)), "{v}");
+            if let Some(&(next, _, next_gain)) = admitted.get(k + 1) {
+                assert!(gain > next_gain || (gain == next_gain && v < next));
+            }
         }
+        // A skipped candidate has an admitted neighbour that came first.
+        for &(v, _, gain) in cands.iter().filter(|&&(v, _, _)| !is_in(v)) {
+            assert!(admitted
+                .iter()
+                .any(|&(a, _, ga)| g.neighbors(v).contains(&a)
+                    && (ga > gain || (ga == gain && a < v))));
+        }
+    }
+
+    #[test]
+    fn only_classes_on_improving_cycles_reach_the_lp() {
+        let class = |i, j, gain| GainClass {
+            pair: (i, j),
+            gain,
+            members: vec![0],
+        };
+        // 0 ⇄ 1 carries a gain; 2 ⇄ 3 only zero gains; 4 → 0 lies on no
+        // cycle.
+        let kept = on_improving_cycles(
+            5,
+            vec![
+                class(0, 1, 2),
+                class(1, 0, 0),
+                class(2, 3, 0),
+                class(3, 2, 0),
+                class(4, 0, 5),
+            ],
+        );
+        let pairs: Vec<_> = kept.iter().map(|c| (c.pair, c.gain)).collect();
+        assert_eq!(pairs, [((0, 1), 2), ((1, 0), 0)]);
+        assert!(on_improving_cycles(3, vec![class(0, 1, 1), class(1, 2, 1)]).is_empty());
     }
 
     #[test]

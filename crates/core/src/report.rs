@@ -118,11 +118,8 @@ impl std::fmt::Display for IgpReport {
             for (k, i) in r.iters.iter().enumerate() {
                 writeln!(
                     f,
-                    "  refine {k}: cut {} -> {} (moved {}{})",
-                    i.cut_before,
-                    i.cut_after,
-                    i.moved,
-                    if i.rolled_back { ", rolled back" } else { "" }
+                    "  refine {k}: cut {} -> {} (moved {})",
+                    i.cut_before, i.cut_after, i.moved
                 )?;
             }
         }

@@ -231,18 +231,34 @@ pub fn min_movement_transshipment(
 }
 
 /// Solve the paper's **refinement problem** combinatorially: maximize
-/// `Σ l_ij` subject to per-arc caps and zero net flow at every node —
-/// a maximum-weight circulation (cost −1 per unit per arc, then cancel
-/// negative cycles). Returns `(total_movement, l)` aligned to `arcs`.
+/// `Σ l_ij` subject to per-arc caps and zero net flow at every node.
+/// [`max_weight_circulation`] with unit weights; returns
+/// `(total_movement, l)` aligned to `arcs`.
 pub fn max_circulation(num_parts: usize, arcs: &[(usize, usize, i64)]) -> (i64, Vec<i64>) {
+    max_weight_circulation(num_parts, arcs, &vec![1; arcs.len()])
+}
+
+/// A maximum-weight circulation: maximize `Σ weights[k] · l_k` subject
+/// to per-arc caps and zero net flow at every node (cost `−weights[k]`
+/// per unit on arc `k`, then cancel negative cycles). Returns
+/// `(Σ weights[k] · l_k, l)` with `l` aligned to `arcs`.
+pub fn max_weight_circulation(
+    num_parts: usize,
+    arcs: &[(usize, usize, i64)],
+    weights: &[i64],
+) -> (i64, Vec<i64>) {
     let mut net = FlowNetwork::new(num_parts);
     let ids: Vec<usize> = arcs
         .iter()
-        .map(|&(u, v, cap)| net.add_edge(u, v, cap, -1))
+        .zip(weights)
+        .map(|(&(u, v, cap), &w)| net.add_edge(u, v, cap, -w))
         .collect();
     let improvement = net.cancel_negative_cycles();
     let l: Vec<i64> = ids.iter().map(|&id| net.flow_on(id)).collect();
-    debug_assert_eq!(-improvement, l.iter().sum::<i64>());
+    debug_assert_eq!(
+        -improvement,
+        l.iter().zip(weights).map(|(x, w)| x * w).sum::<i64>()
+    );
     (-improvement, l)
 }
 
@@ -346,6 +362,16 @@ mod tests {
         let (total, l) = max_circulation(3, &arcs);
         assert_eq!(total, 6); // bottleneck 2, three arcs
         assert_eq!(l, vec![2, 2, 2]);
+    }
+
+    #[test]
+    fn weighted_circulation_skips_a_cycle_of_negative_weight() {
+        // Two 2-cycles through node 0: weights 3 − 1 (worth taking) and
+        // 1 − 2 (not).
+        let arcs = [(0usize, 1usize, 2i64), (1, 0, 2), (0, 2, 5), (2, 0, 5)];
+        let (total, l) = max_weight_circulation(3, &arcs, &[3, -1, 1, -2]);
+        assert_eq!(l, vec![2, 2, 0, 0]);
+        assert_eq!(total, 4);
     }
 
     #[test]

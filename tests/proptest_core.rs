@@ -5,13 +5,14 @@ mod common;
 
 use igp::assign::assign_new_vertices;
 use igp::graph::coalesce::coalesce;
-use igp::graph::metrics::CutMetrics;
+use igp::graph::metrics::{move_gain, CutMetrics};
 use igp::graph::partition::transfer_assignment;
 use igp::graph::traversal::nearest_owner_bfs;
 use igp::graph::{generators, CsrGraph, GraphDelta, NodeId, PartId, Partitioning, NO_PART};
 use igp::layer::{layer_owned, layer_partitions, LayerCarry};
+use igp::refine::refine;
 use igp::session::IgpSession;
-use igp::{CapPolicy, IgpConfig, IncrementalPartitioner};
+use igp::{BalanceSolver, CapPolicy, IgpConfig, IncrementalPartitioner};
 use proptest::prelude::*;
 
 /// Connected random graph + a partitioning built from BFS-ish slabs so it
@@ -386,6 +387,71 @@ proptest! {
         if let Some(rf) = &r2.refine {
             for it in &rf.iters {
                 prop_assert!(it.cut_after <= it.cut_before);
+            }
+        }
+    }
+
+    /// A refine round moves no two adjacent vertices, lowers the weighted
+    /// cut by exactly the gain of what it moved (so never raises it),
+    /// reports no rollback and keeps every partition count — on unit and
+    /// random edge weights, rough partitions and every engine. On unit
+    /// weights the reported cut is that cut.
+    #[test]
+    fn refine_rounds_lower_the_cut_by_their_gain((g, slabs, seed) in scenario_strategy()) {
+        let mut rng = common::Lcg::new(seed | 1);
+        let parts = slabs.num_parts();
+        let unit = seed % 2 == 0;
+        let g = if unit {
+            g
+        } else {
+            let edges: Vec<_> = g
+                .undirected_edges()
+                .map(|(u, v, _)| (u, v, 1 + rng.below(9) as u64))
+                .collect();
+            CsrGraph::from_weighted_edges(g.num_vertices(), &edges)
+        };
+        // Slabs with about one vertex in four sent elsewhere.
+        let assign: Vec<PartId> = (0..g.num_vertices() as NodeId)
+            .map(|v| match rng.below(4) {
+                0 => rng.below(parts) as PartId,
+                _ => slabs.part_of(v),
+            })
+            .collect();
+        let base = Partitioning::from_assignment(&g, parts, assign);
+        for solver in [BalanceSolver::DenseSimplex, BalanceSolver::BoundedSimplex, BalanceSolver::NetworkFlow] {
+            let mut cfg = IgpConfig::new(parts);
+            cfg.solver = solver;
+            cfg.refine.max_iters = 1;
+            let mut part = base.clone();
+            for round in 0..8 {
+                let before = part.clone();
+                let out = refine(&g, &mut part, &cfg);
+                let moved: Vec<NodeId> = g
+                    .vertices()
+                    .filter(|&v| part.part_of(v) != before.part_of(v))
+                    .collect();
+                let tag = format!("{solver:?} round {round}");
+                prop_assert_eq!(out.total_moved, moved.len() as u64, "{}", &tag);
+                prop_assert_eq!(part.counts(), before.counts(), "{}", &tag);
+                for &v in &moved {
+                    prop_assert!(
+                        g.neighbors(v).iter().all(|&u| part.part_of(u) == before.part_of(u)),
+                        "{}: {} moved beside a moved neighbour", &tag, v
+                    );
+                }
+                let gain: i64 = moved.iter().map(|&v| move_gain(&g, &before, v, part.part_of(v))).sum();
+                let cut = |p: &Partitioning| CutMetrics::compute(&g, p).total_cut_weight as i64;
+                prop_assert!(moved.is_empty() || gain > 0, "{}: gain {}", &tag, gain);
+                prop_assert_eq!(cut(&before) - cut(&part), gain, "{}", &tag);
+                for it in &out.iters {
+                    prop_assert!(!it.rolled_back, "{}", &tag);
+                    if unit {
+                        prop_assert!(it.cut_after <= it.cut_before, "{}", &tag);
+                    }
+                }
+                if moved.is_empty() {
+                    break;
+                }
             }
         }
     }

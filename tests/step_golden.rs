@@ -26,6 +26,11 @@
 //!   balance engines: 12 rows. The base partition is recursive coordinate
 //!   bisection: RSB of 10⁴ vertices takes a minute in a debug build.
 //!
+//! All three tables were re-captured once, when the refine round moved to
+//! independent admission and a gain objective (DESIGN.md §5 deviation 2):
+//! that round moves different vertices by design. The `n` and `stages`
+//! columns stayed bit-equal; the cut, moved, pivot and hash columns moved.
+//!
 //! `IGP_STEP_GOLDEN_PRINT=1 cargo test --release --test step_golden --
 //! --nocapture` prints the tables in source form.
 
@@ -46,122 +51,122 @@ type Row = (usize, u64, u64, usize, u64, u64);
 
 #[rustfmt::skip]
 const WINDOW: &[Row] = &[
-    (1091, 673, 70, 1, 199, 0x1782ddcfd7b2c1a5),
-    (1111, 704, 87, 1, 284, 0xa7f35900d6bb2dc2),
-    (1131, 685, 259, 1, 413, 0xacb71bae81bd5b9f),
-    (1151, 743, 90, 1, 332, 0xafb33dc8e3a327aa),
-    (1171, 750, 58, 1, 220, 0x315568b5236a3676),
-    (1171, 759, 52, 1, 217, 0xab90d4709256e24d),
-    (1171, 774, 23, 1, 108, 0x98618858ffdf0344),
-    (1171, 704, 234, 1, 379, 0x3b14e9ce11fd9eee),
-    (1171, 713, 22, 1, 123, 0xe32ccf07be240ee7),
-    (1171, 733, 49, 1, 206, 0x9ede943d3ab1caf2),
-    (1171, 742, 90, 1, 285, 0x87a7da26329380c2),
-    (1171, 742, 57, 1, 190, 0x294d1ae65b1942ce),
-    (1171, 749, 45, 1, 130, 0x8e172c4ba4e8ac00),
-    (1171, 738, 59, 1, 211, 0xf36474c093d87310),
-    (1171, 730, 26, 1, 258, 0xac25456829a3df36),
-    (1171, 727, 29, 1, 264, 0x1c5569d4d7278e5e),
-    (1171, 739, 11, 1, 102, 0xd381ecd4a130cda0),
-    (1171, 728, 19, 1, 267, 0x123add3ba2b92722),
-    (1171, 726, 31, 1, 235, 0x79fb9077e6059990),
-    (1171, 720, 22, 1, 253, 0x5d27accf28522e94),
-    (1171, 720, 35, 1, 306, 0x6e4fca97bfb6fd50),
-    (1171, 720, 41, 1, 273, 0xb2802da102ffc812),
-    (1171, 733, 30, 1, 109, 0xf037f8f0e8715360),
-    (1171, 742, 52, 1, 264, 0x4dc8b48d4066f920),
-    (1171, 725, 81, 1, 278, 0xdec9910ccfd778a5),
-    (1171, 715, 46, 1, 243, 0x7579cb57b6297f85),
-    (1171, 710, 56, 1, 260, 0xbb10be471cac0e71),
-    (1171, 739, 149, 1, 129, 0x29e437cc640bf056),
-    (1171, 671, 495, 1, 353, 0x9df74ddf02a26a86),
-    (1171, 682, 57, 1, 237, 0x38132acb63726036),
-    (1171, 681, 52, 1, 185, 0xcd51c7ca4303f736),
-    (1171, 676, 24, 1, 216, 0xec00c04e4ad571e5),
-    (1171, 678, 18, 1, 92, 0x083f00b6bb68af53),
-    (1171, 687, 37, 1, 235, 0xc38360ed2cb3eec5),
-    (1171, 697, 48, 1, 252, 0xa7d11f81448343b6),
-    (1171, 698, 61, 1, 263, 0x8cafec45dd67a716),
-    (1171, 701, 61, 1, 191, 0x53bf208477978446),
-    (1171, 718, 63, 1, 135, 0x30de84728566e196),
-    (1171, 731, 54, 1, 117, 0x30722b252720ae43),
-    (1171, 710, 52, 1, 244, 0xcf1cde8fbe3892e2),
-    (1171, 719, 24, 1, 108, 0x7d0d4accb4ce3e38),
-    (1171, 709, 51, 1, 273, 0x4e680e20b8cdc0e7),
-    (1171, 708, 59, 1, 266, 0x866f72f957ae1f75),
-    (1171, 710, 23, 1, 191, 0xd5b3fa52137c3401),
-    (1171, 717, 9, 1, 256, 0xd3c272a571684a4c),
-    (1171, 706, 15, 1, 219, 0xfd3f4475d8b371f8),
-    (1171, 711, 28, 1, 213, 0x04e381a7c0bebfef),
-    (1171, 699, 42, 1, 247, 0x1b6ad71370b893c1),
+    (1091, 639, 101, 1, 88, 0x77592c4994a93e15),
+    (1111, 662, 87, 1, 64, 0xbd0c470bbcfee812),
+    (1131, 677, 90, 1, 82, 0x93524d03e735dbef),
+    (1151, 723, 111, 1, 99, 0x1421f95ee6635c3a),
+    (1171, 711, 67, 1, 72, 0xa2581aa3d8f97726),
+    (1171, 720, 65, 1, 54, 0x6c1f8a996bc37974),
+    (1171, 723, 20, 1, 30, 0xeba15a87706e7e37),
+    (1171, 706, 31, 1, 38, 0xbf5b765a0526cd8c),
+    (1171, 700, 41, 1, 36, 0x905a4f76caaf8c0e),
+    (1171, 706, 57, 1, 63, 0xb19b062743a300e0),
+    (1171, 696, 69, 1, 48, 0x6353b01d13729649),
+    (1171, 692, 72, 1, 49, 0x8f2fb80a943bfad6),
+    (1171, 694, 66, 1, 55, 0x426ec7b08650fffc),
+    (1171, 702, 71, 1, 39, 0x10ff65f73f76b4cc),
+    (1171, 686, 31, 1, 47, 0xcf164ba8eac6c097),
+    (1171, 681, 26, 1, 36, 0x6a18499c26f33652),
+    (1171, 685, 28, 1, 24, 0x508e4a5f908674b0),
+    (1171, 694, 22, 1, 25, 0x4d22bd52a3637840),
+    (1171, 696, 14, 1, 24, 0x3d674f768221de68),
+    (1171, 691, 19, 1, 18, 0xa8aaecc476de356b),
+    (1171, 692, 36, 1, 48, 0x7278ab9f162dee79),
+    (1171, 680, 46, 1, 46, 0x90a82032e0b6de59),
+    (1171, 687, 35, 1, 31, 0xc42df244a4163d29),
+    (1171, 693, 53, 1, 50, 0x5c03f2c5193c60b4),
+    (1171, 699, 59, 1, 52, 0xb0300ee81e720637),
+    (1171, 700, 55, 1, 51, 0x14fb6a3690c1cf00),
+    (1171, 698, 53, 1, 58, 0x22b547f1501fa100),
+    (1171, 694, 76, 1, 58, 0xcc524e0b2c9fe870),
+    (1171, 701, 70, 1, 56, 0x683d25f402a29530),
+    (1171, 706, 65, 1, 46, 0x18554f1c4af4c609),
+    (1171, 717, 48, 1, 49, 0x4a8f57825ac380a0),
+    (1171, 698, 28, 1, 40, 0x3546ed87133557e0),
+    (1171, 703, 15, 1, 37, 0x18e16499b02a4221),
+    (1171, 704, 41, 1, 54, 0xf19cc8935046eb50),
+    (1171, 709, 41, 1, 65, 0xf71c0f04355e4350),
+    (1171, 710, 62, 1, 70, 0x0f8a883d96ee51d0),
+    (1171, 711, 76, 1, 68, 0x36f3ccd022c29787),
+    (1171, 710, 68, 1, 82, 0x074944a15fb99e87),
+    (1171, 694, 65, 1, 81, 0xa70ef5f8e58792d3),
+    (1171, 696, 16, 1, 38, 0x55bba070440f93c3),
+    (1171, 699, 24, 1, 54, 0xc13a0d4eaa02bc48),
+    (1171, 705, 26, 1, 54, 0xea7d9ebd8f11ec98),
+    (1171, 713, 46, 1, 78, 0xd649683f8d0bb0a2),
+    (1171, 705, 35, 1, 59, 0xa6446525a6980b72),
+    (1171, 704, 19, 1, 50, 0x1313a8d7c924c75a),
+    (1171, 703, 17, 1, 51, 0x3cef1ad974a53bd8),
+    (1171, 704, 19, 1, 55, 0xe0e37a979029b036),
+    (1171, 702, 14, 1, 66, 0x00a0abd8cadf6d96),
 ];
 
 #[rustfmt::skip]
 const WINDOW_SERVING: &[Row] = &[
-    (1091, 673, 70, 1, 166, 0x1782ddcfd7b2c1a5),
-    (1111, 681, 107, 1, 214, 0xb131ef724cc7ece2),
-    (1131, 705, 73, 1, 249, 0x55c4e3d9ef638b6f),
-    (1151, 703, 376, 1, 381, 0x38612724d6689c4a),
-    (1171, 712, 49, 1, 155, 0x9f45469cd4d90796),
-    (1171, 742, 52, 1, 156, 0x808e3f93e2535bdd),
-    (1171, 745, 28, 1, 186, 0x8e084d010e812404),
-    (1171, 749, 15, 1, 139, 0xc4d68132aadfafe5),
-    (1171, 708, 186, 1, 283, 0xbc11422a675505b8),
-    (1171, 713, 93, 1, 209, 0xe2497627843a8c40),
-    (1171, 734, 93, 1, 225, 0xda1786f53cccdc72),
-    (1171, 749, 51, 1, 104, 0xdd6b4ecb48ee3640),
-    (1171, 745, 41, 1, 74, 0xcb13b5567972c4c0),
-    (1171, 745, 63, 1, 192, 0x91a9699479cc90d0),
-    (1171, 739, 46, 1, 215, 0xe7f22f2a6462ec8a),
-    (1171, 750, 43, 1, 137, 0x4059f59ecd95df33),
-    (1171, 741, 36, 1, 180, 0xad0eddc0ad077c6a),
-    (1171, 746, 20, 1, 92, 0x65fec6222181d481),
-    (1171, 739, 20, 1, 139, 0x0506cae1ac7efd20),
-    (1171, 741, 29, 1, 204, 0x12d95c0e5a7f758f),
-    (1171, 739, 39, 1, 213, 0xba76127c0cf35398),
-    (1171, 746, 52, 1, 135, 0xb5697ef75f6bc408),
-    (1171, 744, 51, 1, 229, 0x516f1c01d81a6ea3),
-    (1171, 745, 72, 1, 207, 0xbcc3525af2eb83b3),
-    (1171, 744, 41, 1, 157, 0x12e858a372e6f886),
-    (1171, 736, 58, 1, 230, 0xa34643a4f32a6fd6),
-    (1171, 738, 55, 1, 218, 0x6bacb67e139d77f2),
-    (1171, 746, 59, 1, 147, 0xbc7acf34c4664800),
-    (1171, 739, 59, 1, 195, 0xdc624f886e01aed0),
-    (1171, 735, 69, 1, 184, 0xb0aed9a86f0bb9dd),
-    (1171, 697, 224, 1, 279, 0xd898a51f33b50823),
-    (1171, 711, 10, 1, 85, 0x1fa6bb8c29664440),
-    (1171, 698, 46, 1, 180, 0xc56d82cdad5a8584),
-    (1171, 707, 43, 1, 188, 0xf252bef2aad41c75),
-    (1171, 716, 66, 1, 204, 0x34d8e73f745cb0c7),
-    (1171, 710, 98, 1, 222, 0x0fa7014139856cf3),
-    (1171, 724, 91, 1, 233, 0xaf2291934606f0f6),
-    (1171, 740, 65, 1, 158, 0x99fa6d537e2d5ce6),
-    (1171, 744, 80, 1, 171, 0x95f5fc64a6314ac3),
-    (1171, 736, 25, 1, 139, 0xb5579092ade8db06),
-    (1171, 726, 48, 1, 186, 0x030c2dcd36a04a1f),
-    (1171, 731, 59, 1, 183, 0x5a37a946253ac45f),
-    (1171, 740, 60, 1, 148, 0xe847b4a8b3fccc67),
-    (1171, 733, 128, 1, 219, 0x626265f9ea5962d7),
-    (1171, 684, 161, 1, 236, 0x2781dde42dfa05c7),
-    (1171, 692, 8, 1, 73, 0xfe53182f54b9b405),
-    (1171, 705, 18, 1, 100, 0x7eb673d3f35f4254),
-    (1171, 710, 28, 1, 167, 0x953e26ebb1ae126a),
+    (1091, 639, 101, 1, 89, 0x77592c4994a93e15),
+    (1111, 660, 86, 1, 63, 0xd36cf996e16f4782),
+    (1131, 673, 96, 1, 84, 0x411095b1a7a30cdf),
+    (1151, 704, 135, 1, 110, 0x4c48de6ea817434a),
+    (1171, 737, 58, 1, 65, 0xe314be5a4ad53e26),
+    (1171, 737, 64, 1, 60, 0x765d2ae739a8fa44),
+    (1171, 741, 15, 1, 24, 0xb2d9cc536c38f63c),
+    (1171, 735, 20, 1, 29, 0x2aa7744a6b15dfc7),
+    (1171, 712, 43, 1, 62, 0x15337993ba3455b2),
+    (1171, 703, 41, 1, 42, 0xa630379a06f85bc2),
+    (1171, 705, 75, 1, 45, 0x816329f163c723a2),
+    (1171, 706, 71, 1, 60, 0x0fc2d8d187947646),
+    (1171, 702, 64, 1, 39, 0x9962b3587f54b77c),
+    (1171, 698, 64, 1, 44, 0xba67c3cf690cd183),
+    (1171, 689, 26, 1, 52, 0x8ee5bbdf93cbee3e),
+    (1171, 693, 18, 1, 31, 0x74514c235fbe52fe),
+    (1171, 687, 36, 1, 32, 0x2be7c72640011b4c),
+    (1171, 691, 19, 1, 15, 0x5ac0b62293c9217c),
+    (1171, 693, 13, 1, 15, 0x4be3ec1218a9d11e),
+    (1171, 686, 24, 1, 30, 0x335df37ca3ce44de),
+    (1171, 701, 35, 1, 54, 0x6a99a8f48dd8b0c1),
+    (1171, 682, 55, 1, 40, 0xf25ee436ce9f1cc1),
+    (1171, 690, 43, 1, 41, 0xc8a6e04223477e51),
+    (1171, 696, 52, 1, 30, 0xe0cc27072154a8f7),
+    (1171, 704, 55, 1, 34, 0x172ca831757c98fa),
+    (1171, 703, 45, 1, 28, 0x73b1167943ef8c8a),
+    (1171, 689, 68, 1, 47, 0xda52eb2188c9b305),
+    (1171, 694, 80, 1, 53, 0xbd7387fd5f0cedb1),
+    (1171, 694, 71, 1, 52, 0x0816e4cd09fc5871),
+    (1171, 683, 75, 1, 67, 0x10102c322540d13b),
+    (1171, 709, 48, 1, 54, 0xd979797f64a6f8f5),
+    (1171, 687, 36, 1, 51, 0xec2a7e84c510d881),
+    (1171, 690, 30, 1, 56, 0x93a76c6bedb68ca1),
+    (1171, 681, 40, 1, 75, 0x871001a4675758e4),
+    (1171, 678, 60, 1, 75, 0x809f6e84864eee82),
+    (1171, 693, 66, 1, 64, 0x696d548fae5f9e52),
+    (1171, 703, 83, 1, 69, 0x2d4c1d61b476b2f7),
+    (1171, 704, 55, 1, 62, 0x8a5d3e84f4846f07),
+    (1171, 706, 67, 1, 83, 0x6a1280b08df879b2),
+    (1171, 708, 20, 1, 48, 0xeab67f4790cf5223),
+    (1171, 712, 26, 1, 51, 0xc49172e4ff75181a),
+    (1171, 702, 35, 1, 73, 0xb3ea87fcd818a2da),
+    (1171, 705, 54, 1, 76, 0x1fa0868526400f53),
+    (1171, 705, 19, 1, 54, 0xc5e89c4db5a6ac12),
+    (1171, 703, 18, 1, 54, 0x09ca6389a48e7188),
+    (1171, 697, 14, 1, 42, 0x59564ac3b7194974),
+    (1171, 699, 23, 1, 64, 0x7d52aeb7632df34a),
+    (1171, 702, 16, 1, 68, 0xa2a43597f611da9b),
 ];
 
 #[rustfmt::skip]
 const STAR: &[Row] = &[
-    (10214, 2031, 469, 1, 570, 0x334c9116195c111d),
-    (10305, 2059, 926, 1, 545, 0xbdd0d8abdff30a1b),
-    (10395, 2136, 1315, 1, 607, 0xf6bef1f08bbf05b7),
-    (10838, 2315, 3247, 2, 755, 0xbbe1748adb590c65),
-    (10214, 2003, 602, 1, 494, 0x904cf6f4527d17bd),
-    (10305, 2063, 923, 1, 502, 0xd23ca7599c8ae72b),
-    (10395, 2114, 1338, 1, 543, 0x3eff3224f9882887),
-    (10838, 2333, 3265, 2, 749, 0xe01115d34dd6ea85),
-    (10214, 2016, 560, 1, 0, 0xca971dc3278cf32d),
-    (10305, 2062, 953, 1, 0, 0x813858f99bb3f46b),
-    (10395, 2122, 1326, 1, 0, 0x84f0fee28f5dc2d7),
-    (10838, 2312, 3240, 2, 0, 0xcc912b28f715ae35),
+    (10214, 1960, 393, 1, 326, 0xc214309e9addbf3d),
+    (10305, 2035, 731, 1, 365, 0x41e9656d2036571b),
+    (10395, 2108, 1090, 1, 410, 0x0eb99caf6eb91277),
+    (10838, 2255, 3075, 2, 679, 0x07bc6eabd5e703b5),
+    (10214, 1960, 393, 1, 304, 0xc214309e9addbf3d),
+    (10305, 2035, 731, 1, 370, 0x41e9656d2036571b),
+    (10395, 2087, 1102, 1, 372, 0x891d6d74b58c0467),
+    (10838, 2261, 3045, 2, 627, 0xd012594daba9ad95),
+    (10214, 1968, 369, 1, 0, 0x5a19d1b222ed068d),
+    (10305, 1993, 775, 1, 0, 0xf60b5ec2c679cd7b),
+    (10395, 2062, 1145, 1, 0, 0x3ea434f592548c47),
+    (10838, 2250, 3043, 2, 0, 0x8ca278beecceaa65),
 ];
 
 /// FNV-1a over the assignment: the partition itself, not only its cut.

@@ -11,6 +11,10 @@
 //! step (the first step included), and both must agree step for step:
 //! summary, assignment and graph.
 //!
+//! Every step is also run through the library entry point, which must
+//! agree with the live session, and every refine round of it must leave
+//! the cut no higher than it found it, with nothing rolled back.
+//!
 //! The base partition is recursive coordinate bisection, so a debug build
 //! stays fast.
 
@@ -21,7 +25,7 @@ use common::window::window_stream;
 use igp::mesh::domain::paper_domain_a;
 use igp::mesh::MeshBuilder;
 use igp::session::{IgpSession, StepSummary};
-use igp::IgpConfig;
+use igp::{IgpConfig, IncrementalPartitioner};
 
 const PARTS: usize = 32;
 const N0: usize = 1071;
@@ -55,6 +59,7 @@ fn run_case(seed: u64, rehydrate_at: usize) {
         .collect();
     let part = recursive_coordinate_bisection(&base, &coords, PARTS);
     let cfg = IgpConfig::new(PARTS);
+    let igpr = IncrementalPartitioner::igpr(cfg.clone());
     let mut live = IgpSession::new(base, part, cfg.clone(), true);
     let mut replica: Option<IgpSession> = None;
     for (i, delta) in deltas.iter().enumerate() {
@@ -62,7 +67,23 @@ fn run_case(seed: u64, rehydrate_at: usize) {
         if i == rehydrate_at {
             replica = Some(IgpSession::rehydrate(live.seed(), cfg.clone(), true));
         }
+        let inc = delta.apply(live.graph());
+        let (part, report) = igpr.repartition(&inc, live.partitioning());
+        for (r, it) in report.refine.iter().flat_map(|o| &o.iters).enumerate() {
+            assert!(
+                it.cut_after <= it.cut_before && !it.rolled_back,
+                "{tag} round {r}: cut {} -> {}, rolled back {}",
+                it.cut_before,
+                it.cut_after,
+                it.rolled_back
+            );
+        }
         let want = live.apply_delta(delta);
+        assert_eq!(
+            live.partitioning().assignment(),
+            part.assignment(),
+            "{tag}: session and library partitions differ"
+        );
         let Some(r) = replica.as_mut() else {
             continue;
         };
