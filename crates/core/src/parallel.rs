@@ -71,8 +71,7 @@ pub struct ParallelRunReport {
     pub stages: usize,
     /// Whether balance targets were met.
     pub balanced: bool,
-    /// Simplex pivots of every balance LP and of each refine iteration's
-    /// last LP (attempts rolled back and re-solved do not count) —
+    /// Simplex pivots of every balance LP and of each refine round's LP —
     /// identical on every backend, and to the sequential driver where no
     /// drain tie-break diverges.
     pub total_pivots: u64,

@@ -19,8 +19,10 @@
 //!   so a round changes the cut by exactly `−Σ gain` of what it moves;
 //!   the weights make the LP maximise that sum first and spend as few
 //!   zero-gain moves as it can second. A round therefore never raises
-//!   the cut, and a round with no positive gain moves nothing. The
-//!   paper's unit objective (eq. 14) stays as [`solve_circulation`].
+//!   the cut. Classes on no cycle through a positive-gain class cannot
+//!   carry flow in an optimum and are dropped before the solve; a round
+//!   with none left stops without one. The paper's unit objective
+//!   (eq. 14) stays as [`solve_circulation`].
 //!
 //! Gains and the stopping rule count edge weights; on unit weights they
 //! are the cut-edge counts the reports carry.
@@ -30,6 +32,7 @@ use crate::config::{BalanceSolver, IgpConfig};
 use igp_graph::{CsrGraph, NodeId, PartId, Partitioning};
 use igp_lp::flow;
 use igp_runtime::{Executor, Solo};
+use std::cmp::Reverse;
 
 /// One refinement round.
 #[derive(Clone, Debug)]
@@ -201,23 +204,23 @@ struct GainClass {
 /// Group admitted candidates into gain classes, ordered by (pair, gain
 /// desc).
 fn gain_classes(part: &Partitioning, admitted: &[(NodeId, PartId, i64)]) -> Vec<GainClass> {
-    let mut keyed: Vec<(PartId, PartId, i64, NodeId)> = admitted
+    let mut keyed: Vec<_> = admitted
         .iter()
-        .map(|&(v, j, gain)| (part.part_of(v), j, -gain, v))
+        .map(|&(v, j, gain)| ((part.part_of(v), j), Reverse(gain), v))
         .collect();
     keyed.sort_unstable();
-    let mut classes: Vec<GainClass> = Vec::new();
-    for (i, j, neg_gain, v) in keyed {
-        match classes.last_mut() {
-            Some(c) if c.pair == (i, j) && c.gain == -neg_gain => c.members.push(v),
-            _ => classes.push(GainClass {
-                pair: (i, j),
-                gain: -neg_gain,
-                members: vec![v],
-            }),
-        }
-    }
-    classes
+    keyed
+        .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+        .map(|run| {
+            let (pair, Reverse(gain), _) = run[0];
+            let members = run.iter().map(|&(_, _, v)| v).collect();
+            GainClass {
+                pair,
+                gain,
+                members,
+            }
+        })
+        .collect()
 }
 
 /// The classes that can carry flow in an optimal circulation: those whose

@@ -3,7 +3,8 @@
 //! Both LPs in the paper are integral network problems: the load-balancing
 //! step (eq. 10–12) is a minimum-cost transshipment on the partition
 //! adjacency graph (unit cost per moved vertex per hop), and the refinement
-//! step (eq. 14–16) is a maximum circulation. This module provides direct
+//! step (eq. 14–16) is a maximum circulation, or a maximum-weight one
+//! under the refine round's gain objective. This module provides direct
 //! combinatorial solvers for both:
 //!
 //! * as **independent oracles** for property-testing the dense simplex, and
