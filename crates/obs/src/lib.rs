@@ -3,11 +3,12 @@
 //! Dependency-free (std only): every crate in the serving path links
 //! this, so it must stay tiny and pull nothing in.
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`], [`SpanTimer`])
 //!   registered into the process-wide [`registry()`], which renders a
 //!   Prometheus-style text exposition for the daemon's `METRICS` verb.
+//!   Each layer declares its families once with [`metric_table!`].
 //!   Recording is lock-free (relaxed atomics) and respects a global
 //!   kill switch ([`set_enabled`]) so benches can price the
 //!   instrumentation itself.
@@ -37,6 +38,7 @@ pub mod health;
 mod log;
 mod metrics;
 mod registry;
+mod table;
 pub mod trace;
 
 pub use log::{

@@ -2,9 +2,9 @@
 //! exposition.
 //!
 //! Registration is the cold path: consumer crates register each metric
-//! once (typically inside a `OnceLock` initializer) and then hold the
-//! returned `Arc` handle, so the serving path never touches the
-//! registry lock. A metric is identified by its family name plus an
+//! once (through a [`metric_table!`](crate::metric_table)) and then
+//! hold the returned `Arc` handle, so the serving path never touches
+//! the registry lock. A metric is identified by its family name plus an
 //! ordered list of `key="value"` labels; registering the same
 //! (name, labels) pair twice returns the same underlying metric.
 

@@ -4,134 +4,71 @@
 //! (wall-clock) cost can be compared side by side from one `METRICS`
 //! scrape (DESIGN.md §10.4).
 
-use std::sync::{Arc, OnceLock};
-
-use igp_obs::{registry, Counter, Histogram};
-
 use crate::exec::Backend;
 
 impl Backend {
-    /// Index into per-backend metric arrays.
+    /// Index into [`RuntimeMetrics::backend`]: the position in
+    /// [`Backend::ALL`], which is declaration order.
     pub(crate) fn obs_idx(self) -> usize {
-        match self {
-            Backend::SimCm5 => 0,
-            Backend::SharedMem => 1,
-        }
+        self as usize
     }
 }
 
-/// Per-backend series (label `backend="sim-cm5" | "shared-mem"`).
-pub struct BackendMetrics {
-    /// `igp_runtime_launches_total` — SPMD jobs launched.
-    pub launches_total: Arc<Counter>,
-    /// `igp_runtime_launch_us` — wall time of [`Backend::launch`].
-    pub launch_us: Arc<Histogram>,
-    /// `igp_runtime_barrier_wait_us` — wall time blocked in `barrier()`.
-    pub barrier_wait_us: Arc<Histogram>,
-    /// `igp_runtime_collective_us{op=…}` — wall time per collective.
-    pub broadcast_us: Arc<Histogram>,
-    /// See [`Self::broadcast_us`].
-    pub allgather_us: Arc<Histogram>,
-    /// See [`Self::broadcast_us`].
-    pub allreduce_us: Arc<Histogram>,
-    /// See [`Self::broadcast_us`].
-    pub exchange_us: Arc<Histogram>,
-}
-
-/// All runtime-layer metrics; one instance per process.
-pub struct RuntimeMetrics {
-    /// Indexed by the backend's declaration order in [`Backend`]
-    /// (`SimCm5` = 0, `SharedMem` = 1; see `Backend::obs_idx`).
-    pub backend: [BackendMetrics; 2],
-    /// `igp_runtime_sim_makespan_us` — modeled CM-5 makespan per launch.
-    pub sim_makespan_us: Arc<Histogram>,
-    /// `igp_runtime_sim_messages_total` — simulated messages charged.
-    pub sim_messages_total: Arc<Counter>,
-    /// `igp_runtime_sim_words_total` — simulated 4-byte words charged.
-    pub sim_words_total: Arc<Counter>,
-    /// `igp_runtime_sim_work_total` — charged local work units (both
-    /// backends count this; only SimCm5 prices it).
-    pub sim_work_total: Arc<Counter>,
-}
-
-fn backend_metrics(name: &'static str) -> BackendMetrics {
-    let r = registry();
-    let lbl = |extra: Option<(&'static str, &str)>| {
-        let mut v: igp_obs::Labels = vec![("backend", name.to_string())];
-        if let Some((k, val)) = extra {
-            v.push((k, val.to_string()));
+igp_obs::metric_table! {
+    /// Per-backend series; [`RuntimeMetrics::backend`] adds the
+    /// `backend` label.
+    pub struct BackendMetrics(Labels) {
+        counter("igp_runtime_launches_total", "SPMD jobs launched via Backend::launch") {
+            pub launches_total,
         }
-        v
-    };
-    BackendMetrics {
-        launches_total: r.counter(
-            "igp_runtime_launches_total",
-            "SPMD jobs launched via Backend::launch",
-            lbl(None),
-        ),
-        launch_us: r.histogram(
-            "igp_runtime_launch_us",
-            "Wall time of Backend::launch (microseconds)",
-            lbl(None),
-        ),
-        barrier_wait_us: r.histogram(
+        histogram("igp_runtime_launch_us", "Wall time of Backend::launch (microseconds)") {
+            pub launch_us,
+        }
+        histogram(
             "igp_runtime_barrier_wait_us",
             "Wall time blocked at the SPMD barrier (microseconds)",
-            lbl(None),
-        ),
-        broadcast_us: r.histogram(
-            "igp_runtime_collective_us",
-            "Wall time per collective call (microseconds)",
-            lbl(Some(("op", "broadcast"))),
-        ),
-        allgather_us: r.histogram(
-            "igp_runtime_collective_us",
-            "Wall time per collective call (microseconds)",
-            lbl(Some(("op", "allgather"))),
-        ),
-        allreduce_us: r.histogram(
-            "igp_runtime_collective_us",
-            "Wall time per collective call (microseconds)",
-            lbl(Some(("op", "allreduce"))),
-        ),
-        exchange_us: r.histogram(
-            "igp_runtime_collective_us",
-            "Wall time per collective call (microseconds)",
-            lbl(Some(("op", "exchange"))),
-        ),
+        ) {
+            pub barrier_wait_us,
+        }
+        histogram("igp_runtime_collective_us", "Wall time per collective call (microseconds)") {
+            pub broadcast_us { op: "broadcast" },
+            pub allgather_us { op: "allgather" },
+            pub allreduce_us { op: "allreduce" },
+            pub exchange_us { op: "exchange" },
+        }
     }
 }
 
-/// The runtime layer's registered metric handles (cold-path
-/// registration happens once; the returned refs are the hot path).
-pub fn metrics() -> &'static RuntimeMetrics {
-    static M: OnceLock<RuntimeMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = registry();
-        RuntimeMetrics {
-            backend: [backend_metrics("sim-cm5"), backend_metrics("shared-mem")],
-            sim_makespan_us: r.histogram(
-                "igp_runtime_sim_makespan_us",
-                "Modeled CM-5 makespan per launch (microseconds of simulated time)",
-                vec![],
-            ),
-            sim_messages_total: r.counter(
-                "igp_runtime_sim_messages_total",
-                "Simulated point-to-point messages charged by the CM-5 model",
-                vec![],
-            ),
-            sim_words_total: r.counter(
-                "igp_runtime_sim_words_total",
-                "Simulated 4-byte payload words charged by the CM-5 model",
-                vec![],
-            ),
-            sim_work_total: r.counter(
-                "igp_runtime_sim_work_total",
-                "Local compute units charged via Executor::charge",
-                vec![],
-            ),
+igp_obs::metric_table! {
+    /// All runtime-layer metrics; one instance per process.
+    pub struct RuntimeMetrics {
+        table(BackendMetrics) {
+            /// Indexed in [`Backend::ALL`] order.
+            pub backend[b in Backend::ALL] { backend: b },
         }
-    })
+        histogram(
+            "igp_runtime_sim_makespan_us",
+            "Modeled CM-5 makespan per launch (microseconds of simulated time)",
+        ) {
+            pub sim_makespan_us,
+        }
+        counter(
+            "igp_runtime_sim_messages_total",
+            "Simulated point-to-point messages charged by the CM-5 model",
+        ) {
+            pub sim_messages_total,
+        }
+        counter(
+            "igp_runtime_sim_words_total",
+            "Simulated 4-byte payload words charged by the CM-5 model",
+        ) {
+            pub sim_words_total,
+        }
+        counter("igp_runtime_sim_work_total", "Local compute units charged via Executor::charge") {
+            /// Both backends count this; only SimCm5 prices it.
+            pub sim_work_total,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,11 @@
 //! daemon's `METRICS` verb renders the whole registry, so the
 //! store/core/runtime families appear beside these.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::policy::RepartitionPolicy;
-use igp_obs::{registry, Counter, Gauge, Histogram};
+use igp_obs::Counter;
 
 /// The protocol verbs in the order
 /// [`Request::verb_idx`](crate::protocol::Request::verb_idx) assigns:
@@ -46,103 +47,166 @@ const ERROR_KINDS: [&str; 10] = [
     "repl-stale",
 ];
 
-/// Ops-plane HTTP paths, in the order `ServiceMetrics::http_requests_total`
-/// indexes; the final `other` bucket absorbs 404s and unknown paths.
+/// Ops-plane HTTP paths; the final `other` bucket absorbs 404s and
+/// unknown paths.
 pub const HTTP_PATHS: [&str; 6] = [
     "metrics", "healthz", "readyz", "traces", "sessions", "other",
 ];
 
-/// All service-layer metric handles; one instance per process.
-pub struct ServiceMetrics {
-    /// `igp_service_requests_total{verb=…}` — indexed per [`VERBS`].
-    pub requests_total: [Arc<Counter>; VERBS.len()],
-    /// `igp_service_request_us{verb=…}` — wall time from parse to reply.
-    pub request_us: [Arc<Histogram>; VERBS.len()],
-    /// `igp_service_errors_total{kind=…}` — indexed per [`ERROR_KINDS`];
-    /// use [`ServiceMetrics::error`] for the by-kind lookup.
-    errors_total: [Arc<Counter>; ERROR_KINDS.len()],
-    /// `igp_service_repartitions_total{policy=…,trigger=…}` —
-    /// `[policy: every|dirt|cost][trigger: policy|flush]`; use
-    /// [`ServiceMetrics::repartition_counter`].
-    repartitions_total: [[Arc<Counter>; 2]; 3],
-    /// `igp_service_queue_depth` — pending deltas after the most recent
-    /// `DELTA` (whichever session it hit).
-    pub queue_depth: Arc<Gauge>,
-    /// `igp_service_backpressure_total` — `DELTA`s rejected at the
-    /// queue cap.
-    pub backpressure_total: Arc<Counter>,
-    /// `igp_service_active_sessions` — open sessions (refreshed on
-    /// `METRICS`).
-    pub active_sessions: Arc<Gauge>,
-    /// `igp_service_bytes_in_total` — request bytes read, graph uploads
-    /// included.
-    pub bytes_in_total: Arc<Counter>,
-    /// `igp_service_bytes_out_total` — reply bytes written.
-    pub bytes_out_total: Arc<Counter>,
-    /// `igp_service_repl_frames_total{dir="shipped"}` — WAL frames this
-    /// primary served to followers over `REPL FRAME`.
-    pub repl_frames_shipped_total: Arc<Counter>,
-    /// `igp_service_repl_frames_total{dir="applied"}` — WAL frames this
-    /// follower decoded and applied through the replay ingest path.
-    pub repl_frames_applied_total: Arc<Counter>,
-    /// `igp_service_repl_syncs_total{dir="shipped"}` — full `REPL SYNC`
-    /// bootstraps served by this primary.
-    pub repl_syncs_shipped_total: Arc<Counter>,
-    /// `igp_service_repl_syncs_total{dir="applied"}` — full syncs this
-    /// follower installed (bootstrap or post-rotation resync).
-    pub repl_syncs_applied_total: Arc<Counter>,
-    /// `igp_service_repl_lag_bytes` — WAL bytes the follower still had
-    /// to fetch at its most recent poll, summed over sessions.
-    pub repl_lag_bytes: Arc<Gauge>,
-    /// `igp_service_repl_apply_us` — per-frame apply latency on the
-    /// follower (decode + ingest/flush through the replay path).
-    pub repl_apply_us: Arc<Histogram>,
-    /// `igp_service_promotions_total` — follower→primary promotions
-    /// (manual `PROMOTE` or heartbeat-timeout failover).
-    pub promotions_total: Arc<Counter>,
-    /// `igp_service_conns_active` — TCP connections currently registered
-    /// with the event loop.
-    pub conns_active: Arc<Gauge>,
-    /// `igp_service_loop_wakeups_total` — times the event loop returned
-    /// from its poll wait (readiness, waker, or timer). A slow client
-    /// must cost O(bytes) wakeups, not a busy spin — the slowloris
-    /// regression test asserts on this counter.
-    pub loop_wakeups_total: Arc<Counter>,
-    /// `igp_service_poll_wait_us` — time the loop spent blocked in each
-    /// poll wait; the idle-heavy distribution is the proof the loop
-    /// sleeps instead of spinning.
-    pub poll_wait_us: Arc<Histogram>,
-    /// `igp_service_write_backpressure_total` — writes that filled the
-    /// socket buffer and left the connection parked on writability.
-    pub write_backpressure_total: Arc<Counter>,
-    /// `igp_service_loop_iter_us` — time per event-loop iteration
-    /// (readiness sweep + completions), excluding the poll wait. The
-    /// loop-health gauge traces contextualize: a fat tail here means
-    /// inline work is starving the loop.
-    pub loop_iter_us: Arc<Histogram>,
-    /// `igp_service_pool_queue_wait_us` — dispatch→pickup latency for
-    /// worker-pool jobs; the direct measure of pool saturation, and
-    /// the same quantity the `queue_wait` trace span shows per request.
-    pub pool_queue_wait_us: Arc<Histogram>,
-    /// `igp_service_http_requests_total{path=…}` — ops-plane HTTP GETs
-    /// served, indexed per [`HTTP_PATHS`]; use
-    /// [`ServiceMetrics::http_request`] for the by-path lookup.
-    http_requests_total: [Arc<Counter>; HTTP_PATHS.len()],
-    /// `igp_service_repl_lag_ms` — milliseconds since this follower was
-    /// last fully caught up with its primary (0 while caught up).
-    pub repl_lag_ms: Arc<Gauge>,
-    /// `igp_service_repl_heartbeat_age_ms` — milliseconds since the
-    /// follower's last successful replication tick against the primary.
-    pub repl_heartbeat_age_ms: Arc<Gauge>,
-    /// `process_start_time_seconds` — Unix time this process started
-    /// (Prometheus well-known name; constant after startup).
-    pub process_start_time_seconds: Arc<Gauge>,
-    /// `process_uptime_seconds` — seconds since process start; refreshed
-    /// on every `METRICS` / `/metrics` render.
-    pub process_uptime_seconds: Arc<Gauge>,
-    /// `igp_build_info{version=…,profile=…}` — constant 1; the labels
-    /// carry the build identity.
-    pub build_info: Arc<Gauge>,
+igp_obs::metric_table! {
+    /// All service-layer metric handles; one instance per process.
+    pub struct ServiceMetrics {
+        counter("igp_service_requests_total", "Requests handled, by protocol verb") {
+            pub requests_total[v in VERBS] { verb: v.0 },
+        }
+        histogram(
+            "igp_service_request_us",
+            "Request wall time from parse to reply (microseconds)",
+        ) {
+            pub request_us[v in VERBS] { verb: v.0 },
+        }
+        counter("igp_service_errors_total", "ERR replies sent, by wire error kind") {
+            errors_total[k in ERROR_KINDS] { kind: k },
+        }
+        counter(
+            "igp_service_repartitions_total",
+            "Repartition steps, by session policy and firing trigger",
+        ) {
+            repartitions_total[p in ["every", "dirt", "cost"]][t in ["policy", "flush"]] {
+                policy: p,
+                trigger: t,
+            },
+        }
+        gauge("igp_service_queue_depth", "Pending deltas after the most recent DELTA") {
+            pub queue_depth,
+        }
+        counter(
+            "igp_service_backpressure_total",
+            "DELTA requests rejected at the per-session queue cap",
+        ) {
+            pub backpressure_total,
+        }
+        gauge("igp_service_active_sessions", "Sessions currently open in the registry") {
+            /// Refreshed on `METRICS`.
+            pub active_sessions,
+        }
+        counter(
+            "igp_service_bytes_in_total",
+            "Request bytes read from clients (graph uploads included)",
+        ) {
+            pub bytes_in_total,
+        }
+        counter("igp_service_bytes_out_total", "Reply bytes written to clients") {
+            pub bytes_out_total,
+        }
+        counter(
+            "igp_service_repl_frames_total",
+            "WAL frames crossing the replication link, by direction",
+        ) {
+            pub repl_frames_shipped_total { dir: "shipped" },
+            pub repl_frames_applied_total { dir: "applied" },
+        }
+        counter("igp_service_repl_syncs_total", "Full REPL SYNC bootstraps, by direction") {
+            pub repl_syncs_shipped_total { dir: "shipped" },
+            pub repl_syncs_applied_total { dir: "applied" },
+        }
+        gauge(
+            "igp_service_repl_lag_bytes",
+            "WAL bytes the follower had left to fetch at its last poll",
+        ) {
+            /// Summed over sessions.
+            pub repl_lag_bytes,
+        }
+        histogram(
+            "igp_service_repl_apply_us",
+            "Per-frame apply latency on the follower (microseconds)",
+        ) {
+            pub repl_apply_us,
+        }
+        counter(
+            "igp_service_promotions_total",
+            "Follower-to-primary promotions (manual or heartbeat failover)",
+        ) {
+            pub promotions_total,
+        }
+        gauge(
+            "igp_service_conns_active",
+            "TCP connections currently registered with the event loop",
+        ) {
+            pub conns_active,
+        }
+        counter(
+            "igp_service_loop_wakeups_total",
+            "Event-loop poll returns (readiness, waker, or timer)",
+        ) {
+            /// A slow client must cost O(bytes) wakeups, not a busy spin —
+            /// the slowloris regression test asserts on this counter.
+            pub loop_wakeups_total,
+        }
+        histogram(
+            "igp_service_poll_wait_us",
+            "Time the event loop spent blocked per poll wait (microseconds)",
+        ) {
+            /// The idle-heavy distribution is the proof the loop sleeps
+            /// instead of spinning.
+            pub poll_wait_us,
+        }
+        counter(
+            "igp_service_write_backpressure_total",
+            "Writes that filled the socket buffer and parked the connection on writability",
+        ) {
+            pub write_backpressure_total,
+        }
+        histogram(
+            "igp_service_loop_iter_us",
+            "Event-loop iteration time, poll wait excluded (microseconds)",
+        ) {
+            /// A fat tail here means inline work is starving the loop.
+            pub loop_iter_us,
+        }
+        histogram(
+            "igp_service_pool_queue_wait_us",
+            "Worker-pool job wait from dispatch to pickup (microseconds)",
+        ) {
+            /// The direct measure of pool saturation, and the quantity
+            /// the `queue_wait` trace span shows per request.
+            pub pool_queue_wait_us,
+        }
+        counter("igp_service_http_requests_total", "Ops-plane HTTP GET requests served, by path") {
+            http_requests_total[p in HTTP_PATHS] { path: p },
+        }
+        gauge(
+            "igp_service_repl_lag_ms",
+            "Milliseconds since the follower was last fully caught up (0 while caught up)",
+        ) {
+            pub repl_lag_ms,
+        }
+        gauge(
+            "igp_service_repl_heartbeat_age_ms",
+            "Milliseconds since the follower's last successful replication tick",
+        ) {
+            pub repl_heartbeat_age_ms,
+        }
+        gauge("process_start_time_seconds", "Unix time the process started, in seconds") {
+            /// Prometheus' well-known name.
+            pub process_start_time_seconds,
+        }
+        gauge("process_uptime_seconds", "Seconds since the process started") {
+            /// Set by [`refresh_process_gauges`].
+            pub process_uptime_seconds,
+        }
+        gauge("igp_build_info", "Build identity (constant 1; labels carry version and profile)") {
+            pub build_info {
+                version: env!("CARGO_PKG_VERSION"),
+                profile: if cfg!(debug_assertions) { "debug" } else { "release" },
+            },
+        }
+    }
+    init |m| {
+        let unix_s = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
+        m.process_start_time_seconds.set(unix_s.saturating_sub(uptime_s()) as i64);
+        m.build_info.set(1);
+    }
 }
 
 impl ServiceMetrics {
@@ -163,6 +227,7 @@ impl ServiceMetrics {
         policy: &RepartitionPolicy,
         explicit_flush: bool,
     ) -> &Counter {
+        // The order the family lists its `policy` labels in.
         let p = match policy {
             RepartitionPolicy::EveryK(_) => 0,
             RepartitionPolicy::DirtFraction(_) => 1,
@@ -182,215 +247,17 @@ impl ServiceMetrics {
     }
 }
 
-/// Monotonic process start instant (first call wins; the daemon calls
-/// this at startup so it reflects serve time, not first-metric time).
-pub fn process_start() -> std::time::Instant {
-    static START: OnceLock<std::time::Instant> = OnceLock::new();
-    *START.get_or_init(std::time::Instant::now)
-}
-
-/// Whole seconds since [`process_start`].
+/// Whole seconds since the first call, which registering this table
+/// makes: the daemon does so at boot.
 pub fn uptime_s() -> u64 {
-    process_start().elapsed().as_secs()
+    static START: OnceLock<Instant> = OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_secs()
 }
 
-/// Refresh `process_uptime_seconds`; called from every metrics render
-/// path (`METRICS` verb and the HTTP `/metrics` endpoint).
+/// Refresh [`ServiceMetrics::process_uptime_seconds`]; every metrics
+/// render path (`METRICS` verb, HTTP `/metrics`) calls this first.
 pub fn refresh_process_gauges() {
     metrics().process_uptime_seconds.set(uptime_s() as i64);
-}
-
-/// The service layer's registered metric handles.
-pub fn metrics() -> &'static ServiceMetrics {
-    static M: OnceLock<ServiceMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = registry();
-        let policy_names = ["every", "dirt", "cost"];
-        let trigger_names = ["policy", "flush"];
-        ServiceMetrics {
-            requests_total: std::array::from_fn(|i| {
-                r.counter(
-                    "igp_service_requests_total",
-                    "Requests handled, by protocol verb",
-                    vec![("verb", VERBS[i].0.to_string())],
-                )
-            }),
-            request_us: std::array::from_fn(|i| {
-                r.histogram(
-                    "igp_service_request_us",
-                    "Request wall time from parse to reply (microseconds)",
-                    vec![("verb", VERBS[i].0.to_string())],
-                )
-            }),
-            errors_total: std::array::from_fn(|i| {
-                r.counter(
-                    "igp_service_errors_total",
-                    "ERR replies sent, by wire error kind",
-                    vec![("kind", ERROR_KINDS[i].to_string())],
-                )
-            }),
-            repartitions_total: std::array::from_fn(|p| {
-                std::array::from_fn(|t| {
-                    r.counter(
-                        "igp_service_repartitions_total",
-                        "Repartition steps, by session policy and firing trigger",
-                        vec![
-                            ("policy", policy_names[p].to_string()),
-                            ("trigger", trigger_names[t].to_string()),
-                        ],
-                    )
-                })
-            }),
-            queue_depth: r.gauge(
-                "igp_service_queue_depth",
-                "Pending deltas after the most recent DELTA",
-                vec![],
-            ),
-            backpressure_total: r.counter(
-                "igp_service_backpressure_total",
-                "DELTA requests rejected at the per-session queue cap",
-                vec![],
-            ),
-            active_sessions: r.gauge(
-                "igp_service_active_sessions",
-                "Sessions currently open in the registry",
-                vec![],
-            ),
-            bytes_in_total: r.counter(
-                "igp_service_bytes_in_total",
-                "Request bytes read from clients (graph uploads included)",
-                vec![],
-            ),
-            bytes_out_total: r.counter(
-                "igp_service_bytes_out_total",
-                "Reply bytes written to clients",
-                vec![],
-            ),
-            repl_frames_shipped_total: r.counter(
-                "igp_service_repl_frames_total",
-                "WAL frames crossing the replication link, by direction",
-                vec![("dir", "shipped".to_string())],
-            ),
-            repl_frames_applied_total: r.counter(
-                "igp_service_repl_frames_total",
-                "WAL frames crossing the replication link, by direction",
-                vec![("dir", "applied".to_string())],
-            ),
-            repl_syncs_shipped_total: r.counter(
-                "igp_service_repl_syncs_total",
-                "Full REPL SYNC bootstraps, by direction",
-                vec![("dir", "shipped".to_string())],
-            ),
-            repl_syncs_applied_total: r.counter(
-                "igp_service_repl_syncs_total",
-                "Full REPL SYNC bootstraps, by direction",
-                vec![("dir", "applied".to_string())],
-            ),
-            repl_lag_bytes: r.gauge(
-                "igp_service_repl_lag_bytes",
-                "WAL bytes the follower had left to fetch at its last poll",
-                vec![],
-            ),
-            repl_apply_us: r.histogram(
-                "igp_service_repl_apply_us",
-                "Per-frame apply latency on the follower (microseconds)",
-                vec![],
-            ),
-            promotions_total: r.counter(
-                "igp_service_promotions_total",
-                "Follower-to-primary promotions (manual or heartbeat failover)",
-                vec![],
-            ),
-            conns_active: r.gauge(
-                "igp_service_conns_active",
-                "TCP connections currently registered with the event loop",
-                vec![],
-            ),
-            loop_wakeups_total: r.counter(
-                "igp_service_loop_wakeups_total",
-                "Event-loop poll returns (readiness, waker, or timer)",
-                vec![],
-            ),
-            poll_wait_us: r.histogram(
-                "igp_service_poll_wait_us",
-                "Time the event loop spent blocked per poll wait (microseconds)",
-                vec![],
-            ),
-            write_backpressure_total: r.counter(
-                "igp_service_write_backpressure_total",
-                "Writes that filled the socket buffer and parked the connection on writability",
-                vec![],
-            ),
-            loop_iter_us: r.histogram(
-                "igp_service_loop_iter_us",
-                "Event-loop iteration time, poll wait excluded (microseconds)",
-                vec![],
-            ),
-            pool_queue_wait_us: r.histogram(
-                "igp_service_pool_queue_wait_us",
-                "Worker-pool job wait from dispatch to pickup (microseconds)",
-                vec![],
-            ),
-            http_requests_total: std::array::from_fn(|i| {
-                r.counter(
-                    "igp_service_http_requests_total",
-                    "Ops-plane HTTP GET requests served, by path",
-                    vec![("path", HTTP_PATHS[i].to_string())],
-                )
-            }),
-            repl_lag_ms: r.gauge(
-                "igp_service_repl_lag_ms",
-                "Milliseconds since the follower was last fully caught up (0 while caught up)",
-                vec![],
-            ),
-            repl_heartbeat_age_ms: r.gauge(
-                "igp_service_repl_heartbeat_age_ms",
-                "Milliseconds since the follower's last successful replication tick",
-                vec![],
-            ),
-            process_start_time_seconds: {
-                let g = r.gauge(
-                    "process_start_time_seconds",
-                    "Unix time the process started, in seconds",
-                    vec![],
-                );
-                let started = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| {
-                        d.as_secs()
-                            .saturating_sub(process_start().elapsed().as_secs())
-                    })
-                    .unwrap_or(0);
-                g.set(started as i64);
-                g
-            },
-            process_uptime_seconds: r.gauge(
-                "process_uptime_seconds",
-                "Seconds since the process started",
-                vec![],
-            ),
-            build_info: {
-                let g = r.gauge(
-                    "igp_build_info",
-                    "Build identity (constant 1; labels carry version and profile)",
-                    vec![
-                        ("version", env!("CARGO_PKG_VERSION").to_string()),
-                        (
-                            "profile",
-                            if cfg!(debug_assertions) {
-                                "debug"
-                            } else {
-                                "release"
-                            }
-                            .to_string(),
-                        ),
-                    ],
-                );
-                g.set(1);
-                g
-            },
-        }
-    })
 }
 
 #[cfg(test)]

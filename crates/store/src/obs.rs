@@ -8,7 +8,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use igp_obs::health::HealthCell;
-use igp_obs::{registry, Counter, Histogram};
 
 /// How long a durable write may run before the watchdog calls it a
 /// stall — generous, because fsync-class latency spikes are normal.
@@ -27,70 +26,44 @@ pub fn health_cell() -> &'static Arc<HealthCell> {
     CELL.get_or_init(|| HealthCell::new(STORE_STALL_BAR))
 }
 
-/// All store-layer metric handles; one instance per process.
-pub struct StoreMetrics {
-    /// `igp_store_wal_append_us` — one WAL frame write + flush.
-    pub wal_append_us: Arc<Histogram>,
-    /// `igp_store_wal_frames_total` — frames appended.
-    pub wal_frames_total: Arc<Counter>,
-    /// `igp_store_wal_bytes_total` — frame bytes written (headers incl.).
-    pub wal_bytes_total: Arc<Counter>,
-    /// `igp_store_snapshot_us` — the ack-path half of a rotation: encode,
-    /// write, rename, new WAL (the fsyncs run behind it).
-    pub snapshot_us: Arc<Histogram>,
-    /// `igp_store_snapshots_total` — snapshots written.
-    pub snapshots_total: Arc<Counter>,
-    /// `igp_store_recovery_us` — full `SessionStore::recover` duration.
-    pub recovery_us: Arc<Histogram>,
-    /// `igp_store_recoveries_total` — recovery attempts that succeeded.
-    pub recoveries_total: Arc<Counter>,
-    /// `igp_store_recovery_truncations_total` — recoveries that dropped
-    /// a corrupt/torn WAL tail.
-    pub recovery_truncations_total: Arc<Counter>,
-}
-
-/// The store layer's registered metric handles.
-pub fn metrics() -> &'static StoreMetrics {
-    static M: OnceLock<StoreMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = registry();
-        StoreMetrics {
-            wal_append_us: r.histogram(
-                "igp_store_wal_append_us",
-                "WAL frame append latency, write through OS flush (microseconds)",
-                vec![],
-            ),
-            wal_frames_total: r.counter(
-                "igp_store_wal_frames_total",
-                "WAL frames appended",
-                vec![],
-            ),
-            wal_bytes_total: r.counter(
-                "igp_store_wal_bytes_total",
-                "WAL bytes written, frame headers included",
-                vec![],
-            ),
-            snapshot_us: r.histogram(
-                "igp_store_snapshot_us",
-                "Snapshot encode + write + WAL rotation on the ack path, fsyncs excluded (microseconds)",
-                vec![],
-            ),
-            snapshots_total: r.counter("igp_store_snapshots_total", "Snapshots written", vec![]),
-            recovery_us: r.histogram(
-                "igp_store_recovery_us",
-                "Crash-recovery duration: snapshot load + WAL tail replay (microseconds)",
-                vec![],
-            ),
-            recoveries_total: r.counter(
-                "igp_store_recoveries_total",
-                "Successful session recoveries",
-                vec![],
-            ),
-            recovery_truncations_total: r.counter(
-                "igp_store_recovery_truncations_total",
-                "Recoveries that truncated a corrupt or torn WAL tail",
-                vec![],
-            ),
+igp_obs::metric_table! {
+    /// All store-layer metric handles; one instance per process.
+    pub struct StoreMetrics {
+        histogram(
+            "igp_store_wal_append_us",
+            "WAL frame append latency, write through OS flush (microseconds)",
+        ) {
+            pub wal_append_us,
         }
-    })
+        counter("igp_store_wal_frames_total", "WAL frames appended") {
+            pub wal_frames_total,
+        }
+        counter("igp_store_wal_bytes_total", "WAL bytes written, frame headers included") {
+            pub wal_bytes_total,
+        }
+        histogram(
+            "igp_store_snapshot_us",
+            "Snapshot encode + write + WAL rotation on the ack path, fsyncs excluded (microseconds)",
+        ) {
+            pub snapshot_us,
+        }
+        counter("igp_store_snapshots_total", "Snapshots written") {
+            pub snapshots_total,
+        }
+        histogram(
+            "igp_store_recovery_us",
+            "Crash-recovery duration: snapshot load + WAL tail replay (microseconds)",
+        ) {
+            pub recovery_us,
+        }
+        counter("igp_store_recoveries_total", "Successful session recoveries") {
+            pub recoveries_total,
+        }
+        counter(
+            "igp_store_recovery_truncations_total",
+            "Recoveries that truncated a corrupt or torn WAL tail",
+        ) {
+            pub recovery_truncations_total,
+        }
+    }
 }
