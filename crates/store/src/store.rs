@@ -270,7 +270,11 @@ fn latest_snapshot(dir: &Path) -> Result<(SnapshotData, Vec<String>), StoreError
     }
     Err(StoreError::Corrupt {
         what: dir.display().to_string(),
-        reason: format!("no readable snapshot among {} candidates", seqs.len()),
+        reason: format!(
+            "no readable snapshot among {} candidates: {}",
+            seqs.len(),
+            warnings.join("; ")
+        ),
     })
 }
 

@@ -641,6 +641,10 @@ fn snapshot_weight_above_max_is_refused_and_its_sibling_recovers() {
     let (recovered, failures) = recover_all(&data, SnapshotPolicy::EveryK(3)).expect("recover all");
     assert_eq!(failures.len(), 1, "{failures:?}");
     assert!(failures[0].contains("heavy"), "{failures:?}");
+    assert!(
+        failures[0].contains("exceeds"),
+        "names the refusal: {failures:?}"
+    );
     assert_eq!(recovered.len(), 1);
     assert_eq!(recovered[0].sid, "good");
     assert_eq!(recovered[0].session.inner().graph(), &good);
