@@ -113,8 +113,9 @@ pub struct ServiceSession {
     store: Option<SessionStore>,
     /// Wall time (µs) of this session's repartition flushes — private
     /// (unregistered) so `STAT` can report a per-tenant latency subset
-    /// next to the global [`igp_core::obs::CoreMetrics::repartition_us`]. Timing
-    /// only: never influences the repartition result, so replay stays
+    /// next to the global
+    /// [`igp_core::obs::CoreMetrics::repartition_us`]. Timing only:
+    /// never influences the repartition result, so replay stays
     /// bit-identical.
     repart_us: igp_obs::Histogram,
 }
